@@ -1,7 +1,10 @@
 """Small shared helpers."""
 
+import json
 import os
 import tempfile
+
+from .errors import ParseError
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -19,3 +22,28 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _reject_constant(token: str):
+    raise ParseError(f"non-finite number {token!r} is not allowed")
+
+
+def read_json(path: str, convert):
+    """Read the JSON file at path and return convert(obj) of its content.
+
+    NaN and Infinity are rejected. Malformed input raises ParseError naming the
+    file: text that is not UTF-8, bad or too deeply nested JSON, and entries
+    that convert cannot use (a ValueError or TypeError inside it, such as a
+    non-numeric entry or a ragged row).
+    """
+    try:
+        with open(path) as fh:
+            obj = json.loads(fh.read(), parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        return convert(obj)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

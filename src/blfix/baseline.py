@@ -9,19 +9,16 @@ reproducible competitor for the fixed-point solvers.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .cone import thompson
 from .datum import BLDatum, validate
 from .errors import StepFailure, ValidationFailed
-from .matcore import SpdMatrix, SymMatrix, log_det, sym_op_norm
+from .matcore import SpdMatrix, SymMatrix, log_det
 from .objective import eval_F, pushforwards
-from .solve import CONVERGED, MAX_ITER, IterTrace, SolveResult, TraceRow
+from .solve import CONVERGED, IterTrace, SolveResult, _drive
 
 
 @dataclass
@@ -72,20 +69,6 @@ def rgd_step(datum: BLDatum, x: SpdMatrix, eta: float) -> SpdMatrix:
     return _exp_step(x_half, x_inv_half, riem_grad(datum, x).a, eta)
 
 
-def _f_value_scale(datum: BLDatum, x: SpdMatrix) -> tuple[float, float]:
-    """Objective value plus the magnitude scale of its cancelling terms.
-
-    The scale bounds the roundoff noise of the value: the objective is a sum of
-    log-determinants, so its evaluation noise tracks their sizes rather than
-    the (possibly tiny) final value.
-    """
-    terms = [w * log_det(t) for w, t in zip(datum.weights, pushforwards(datum, x))]
-    ld = log_det(x)
-    value = float(sum(terms) - ld)
-    scale = 1.0 + sum(abs(t) for t in terms) + abs(ld)
-    return value, scale
-
-
 def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace]:
     """Descend the objective from the identity; stop on the Riemannian gradient norm.
 
@@ -100,84 +83,42 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
     report = validate(datum, subspace_checks=False)
     if not report.accepted:
         raise ValidationFailed("datum rejected by hard validation checks")
-
-    x = SpdMatrix.identity(datum.d)
-    trace = IterTrace()
-    t0 = time.perf_counter_ns()
-
-    ev = eval_F(datum, x)
-    f = ev.value
-    xi = SymMatrix(x.a @ ev.gradient.a @ x.a)
-    rnorm = riem_grad_norm(x, xi)
-    eigs = x.eigenvalues()
-    trace.append(
-        TraceRow(0, f, f, rnorm, math.nan, float(eigs[0]), float(eigs[-1]),
-                 time.perf_counter_ns() - t0)
-    )
-
-    status = MAX_ITER
-    iterations = 0
+    xi = rnorm = None
     eta_prev = config.step_size
-    step_len = math.nan
-    f_scale = 1.0 + abs(f)
-    stalled = False
 
-    for k in range(1, config.max_iter + 1):
-        if rnorm <= config.tol_grad:
-            status = CONVERGED
-            break
-        x_half, x_inv_half = _sqrt_pair(x)
-        if config.backtracking:
-            eta = min(config.step_size, 2.0 * eta_prev)
-            # below this, the Armijo decrease is invisible in double precision
-            fp_floor = 1e-14 * f_scale
-            at_noise_floor = config.sufficient_decrease * eta * rnorm * rnorm <= fp_floor
-            cand = None
-            while True:
-                trial = _exp_step(x_half, x_inv_half, xi.a, eta)
-                f_trial, trial_scale = _f_value_scale(datum, trial)
-                need = config.sufficient_decrease * eta * rnorm * rnorm
-                if f_trial <= f - need or (need <= fp_floor and f_trial <= f + fp_floor):
-                    cand = trial
-                    break
-                eta *= config.backtrack_factor
-                if eta < 1e-16:
-                    if at_noise_floor:  # value differences are all noise here
-                        stalled = True
-                        break
-                    raise StepFailure(f"iteration {k}: backtracking underflow")
-            if stalled:
-                break
-            eta_prev = eta
-            f_scale = trial_scale
-        else:
-            cand = _exp_step(x_half, x_inv_half, xi.a, config.step_size)
-
-        step_len = thompson(cand, x)
-        x = cand
-        iterations = k
-        ev = eval_F(datum, x)
-        f = ev.value
+    def check(k, x, ev, step_len, eigs):
+        nonlocal xi, rnorm
         xi = SymMatrix(x.a @ ev.gradient.a @ x.a)
         rnorm = riem_grad_norm(x, xi)
-        eigs = x.eigenvalues()
-        trace.append(
-            TraceRow(k, ev.value, ev.value, rnorm, step_len, float(eigs[0]),
-                     float(eigs[-1]), time.perf_counter_ns() - t0)
-        )
-    else:
-        if rnorm <= config.tol_grad:
-            status = CONVERGED
+        return ev.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
-    final = eval_F(datum, x)
-    result = SolveResult(
-        X_star=x,
-        bl_constant=math.exp(-0.5 * final.value),
-        F_value=final.value,
-        iterations=iterations,
-        converged=status == CONVERGED,
-        residual=rnorm,
-        grad_norm=sym_op_norm(final.gradient),
-        status=status,
-    )
-    return result, trace
+    def step(k, x, ev):
+        nonlocal eta_prev
+        x_half, x_inv_half = _sqrt_pair(x)
+        if not config.backtracking:
+            return _exp_step(x_half, x_inv_half, xi.a, config.step_size), None
+        eta = min(config.step_size, 2.0 * eta_prev)
+        if k == 1:  # no accepted trial yet: the start value sets the scale
+            f_scale = 1.0 + abs(ev.value)
+        else:  # F sums log-determinants; its roundoff tracks their sizes, not F
+            terms = sum(abs(w * log_det(t)) for w, t in zip(datum.weights, ev.pushforwards))
+            f_scale = 1.0 + terms + abs(log_det(x))
+        # below this, the Armijo decrease is invisible in double precision
+        fp_floor = 1e-14 * f_scale
+        at_noise_floor = config.sufficient_decrease * eta * rnorm * rnorm <= fp_floor
+        while True:
+            trial = _exp_step(x_half, x_inv_half, xi.a, eta)
+            # one call of this module's pushforwards per trial, so profilers can count trials
+            ev_trial = eval_F(datum, trial, pushforwards(datum, trial))
+            f_trial, need = ev_trial.value, config.sufficient_decrease * eta * rnorm * rnorm
+            if f_trial <= ev.value - need or (need <= fp_floor and f_trial <= ev.value + fp_floor):
+                eta_prev = eta
+                return trial, ev_trial
+            eta *= config.backtrack_factor
+            if eta < 1e-16:
+                if at_noise_floor:  # value differences are all noise here
+                    return None
+                raise StepFailure(f"iteration {k}: backtracking underflow")
+
+    return _drive(datum, SpdMatrix.identity(datum.d), IterTrace(), step, check,
+                  config.max_iter, "grad_norm")

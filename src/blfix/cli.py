@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ._util import atomic_write_text
 from .baseline import RgdConfig, solve_rgd
@@ -204,6 +203,8 @@ def cmd_bench(args) -> int:
         datum = gen_random(args.d, args.dprime, args.m, args.seed)
         datum_echo = {"generated": {"d": args.d, "dprime": args.dprime, "m": args.m, "seed": args.seed}}
     names = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not names:
+        raise BlfixError("--solvers names no solver; choose from g,gmu,gtilde,rgd")
     for name in names:
         if name not in _SOLVER_NAMES:
             raise BlfixError(f"unknown solver {name!r}; choose from {sorted(_SOLVER_NAMES)}")
@@ -216,11 +217,7 @@ def cmd_bench(args) -> int:
         result, trace, _ = _run_solver(datum, name, args)
         return name, result, trace, time.perf_counter() - t0
 
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            runs = list(pool.map(run, names))
-    else:
-        runs = [run(name) for name in names]
+    runs = [run(name) for name in names]
 
     os.makedirs(args.out_dir, exist_ok=True)
     solvers_obj = {}
@@ -304,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--eps", type=float, default=1e-9)
     pb.add_argument("--mu", type=float, default=None)
     pb.add_argument("--out-dir", default="bench-traces")
-    pb.add_argument("--parallel", action="store_true", help="one thread per solver")
     pb.set_defaults(func=cmd_bench)
     return p
 

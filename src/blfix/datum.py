@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_json
 from .errors import InvalidShape, ParseError, ShapeMismatch, TooLarge
 
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
@@ -274,19 +274,9 @@ def datum_from_json_obj(obj) -> BLDatum:
     return datum
 
 
-def _reject_constant(token: str):
-    raise ParseError(f"non-finite number {token!r} is not allowed")
-
-
 def save_datum(datum: BLDatum, path: str) -> None:
     atomic_write_text(path, json.dumps(datum_to_json_obj(datum), allow_nan=False) + "\n")
 
 
 def load_datum(path: str) -> BLDatum:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return datum_from_json_obj(obj)
+    return read_json(path, datum_from_json_obj)

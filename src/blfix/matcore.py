@@ -12,7 +12,7 @@ import json
 import numpy as np
 import scipy.linalg
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_json
 from .errors import (
     CholeskyFailure,
     ConvergenceFailure,
@@ -167,10 +167,6 @@ def spd_power(x: SpdMatrix, t: float) -> SpdMatrix:
 # {"n": <int>, "data": [[row], ...]} with row-major nested arrays.
 
 
-def _reject_constant(token: str):
-    raise ParseError(f"non-finite number {token!r} is not allowed")
-
-
 def matrix_to_json_obj(x) -> dict:
     a = _mat(x)
     return {"n": int(a.shape[0]), "data": [[float(v) for v in row] for row in a]}
@@ -183,7 +179,9 @@ def matrix_from_json_obj(obj) -> SpdMatrix:
     data = obj["data"]
     if not isinstance(n, int) or n < 1:
         raise ParseError('field "n" must be a positive integer')
-    if not isinstance(data, list) or len(data) != n or any(len(row) != n for row in data):
+    if not isinstance(data, list) or len(data) != n or any(
+        not isinstance(row, list) or len(row) != n for row in data
+    ):
         raise ShapeMismatch(f'field "data" must be {n} rows of {n} numbers')
     a = np.array(data, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -198,10 +196,4 @@ def save_matrix(x, path: str) -> None:
 
 
 def load_matrix(path: str) -> SpdMatrix:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return matrix_from_json_obj(obj)
+    return read_json(path, matrix_from_json_obj)

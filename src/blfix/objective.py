@@ -32,11 +32,13 @@ class GaussianInput:
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """Value, symmetrized gradient, and the pushforwards L_j X L_j^T."""
+    """Value, symmetrized gradient, the pushforwards L_j X L_j^T, and the
+    pre-inversion sum that the fixed-point maps invert."""
 
     value: float
     gradient: SymMatrix
     pushforwards: tuple
+    pre_sum: np.ndarray
 
 
 def pushforwards(datum: BLDatum, x: SpdMatrix) -> tuple:
@@ -56,14 +58,15 @@ def pre_inversion_sum(datum: BLDatum, x: SpdMatrix, pf=None) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def eval_F(datum: BLDatum, x: SpdMatrix) -> ObjectiveEval:
-    """Evaluate the objective and its gradient at x."""
-    pf = pushforwards(datum, x)
+def eval_F(datum: BLDatum, x: SpdMatrix, pf=None) -> ObjectiveEval:
+    """Evaluate the objective and its gradient at x, from its pushforwards when given."""
+    if pf is None:
+        pf = pushforwards(datum, x)
     value = float(
         sum(w * log_det(t) for w, t in zip(datum.weights, pf)) - log_det(x)
     )
-    grad = pre_inversion_sum(datum, x, pf) - spd_inverse(x)
-    return ObjectiveEval(value, SymMatrix(grad), pf)
+    s = pre_inversion_sum(datum, x, pf)
+    return ObjectiveEval(value, SymMatrix(s - spd_inverse(x)), pf, s)
 
 
 def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
@@ -77,6 +80,7 @@ def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
         base.value + mu * x.trace(),
         SymMatrix(base.gradient.a + mu * np.eye(x.n)),
         base.pushforwards,
+        base.pre_sum,
     )
 
 
@@ -107,6 +111,14 @@ def recover_Z(datum: BLDatum, x: SpdMatrix) -> GaussianInput:
     return GaussianInput(tuple(SpdMatrix(spd_inverse(t)) for t in pushforwards(datum, x)))
 
 
+def bl_constant_from_F(value: float) -> float:
+    """exp(-F/2), or inf when that overflows a double; F itself stays exact."""
+    try:
+        return math.exp(-0.5 * value)
+    except OverflowError:
+        return math.inf
+
+
 def bl_constant_from_X(datum: BLDatum, x: SpdMatrix) -> float:
     """The constant exp(-F(x)/2); equals the optimal constant when x minimizes F."""
-    return math.exp(-0.5 * eval_F(datum, x).value)
+    return bl_constant_from_F(eval_F(datum, x).value)

@@ -1,4 +1,4 @@
-"""Picard iterations for the fixed-point maps, with stopping logic and traces.
+"""Picard iterations for the fixed-point maps, and the one solver loop.
 
 Three maps share one driver:
 
@@ -8,7 +8,8 @@ Three maps share one driver:
 
 Iteration stops when the Thompson length of the step drops below `tol`, the
 metric in which the maps are non-expansive (and, with mu > 0, contractive).
-The gradient norm is reported but never used for stopping.
+The gradient norm is reported but never used for stopping. The RGD baseline
+runs in the same loop with its own step and check.
 
 A practical note on the regularized map: for feasible data the objective is
 scale invariant, so the trace term has no interior stationary point and the
@@ -33,13 +34,15 @@ from .cone import thompson
 from .datum import BLDatum, validate
 from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, ValidationFailed
 from .matcore import SpdMatrix, spd_solve, sym_op_norm
-from .objective import eval_F, pre_inversion_sum
+from .objective import bl_constant_from_F, eval_F, pre_inversion_sum
 
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 INFEASIBILITY_SUSPECTED = "InfeasibilitySuspected"
 
 SOLVERS = ("plain_g", "regularized", "normalized")
+
+BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
 
 
 @dataclass
@@ -50,7 +53,6 @@ class SolveConfig:
     epsilon: float = 1e-6
     mu_override: float | None = None
     x0: SpdMatrix | None = None  # None means the identity
-    blowup_cond: float = 1e12
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -68,7 +70,7 @@ class SolveConfig:
 @dataclass
 class SolveResult:
     X_star: SpdMatrix
-    bl_constant: float
+    bl_constant: float  # inf when exp(-F/2) overflows a double
     F_value: float
     iterations: int
     converged: bool
@@ -103,8 +105,13 @@ class IterTrace:
         self.rows: list[TraceRow] = []
         self.mu_events: list[tuple[int, float]] = []
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
+    def record(self, k: int, f: float, f_mu: float, grad_norm: float, step_len: float,
+               eigs: np.ndarray, t0: int) -> None:
+        """Append the row of iterate k, whose ascending eigenvalues are eigs."""
+        self.rows.append(
+            TraceRow(k, f, f_mu, grad_norm, step_len, float(eigs[0]), float(eigs[-1]),
+                     time.perf_counter_ns() - t0)
+        )
 
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.rows]
@@ -119,18 +126,25 @@ class IterTrace:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _apply_map(s: np.ndarray, solver: str, mu: float = 0.0) -> SpdMatrix:
+    """The solver's map (G, G_mu or G~) of an iterate, given its pre-inversion sum s."""
+    eye = np.eye(s.shape[0])
+    if solver == "regularized":
+        s = s + mu * eye
+    g = SpdMatrix(spd_solve(SpdMatrix(s), eye))
+    return SpdMatrix(g.a / g.trace()) if solver == "normalized" else g
+
+
 def step_G(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
     """One plain fixed-point step: invert the weighted pullback sum."""
-    s = SpdMatrix(pre_inversion_sum(datum, x))
-    return SpdMatrix(spd_solve(s, np.eye(x.n)))
+    return _apply_map(pre_inversion_sum(datum, x), "plain_g")
 
 
 def step_G_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> SpdMatrix:
     """One regularized step; eigenvalues of the result lie strictly below 1/mu."""
     if mu <= 0.0:
         raise InvalidArgument("mu must be positive")
-    s = SpdMatrix(pre_inversion_sum(datum, x) + mu * np.eye(x.n))
-    return SpdMatrix(spd_solve(s, np.eye(x.n)))
+    return _apply_map(pre_inversion_sum(datum, x), "regularized", mu)
 
 
 def step_G_tilde(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
@@ -139,8 +153,7 @@ def step_G_tilde(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
     The map is homogeneous, so normalizing picks the unit-trace representative
     of the same ray; any other norm would serve, the trace is linear and exact.
     """
-    g = step_G(datum, x)
-    return SpdMatrix(g.a / g.trace())
+    return _apply_map(pre_inversion_sum(datum, x), "normalized")
 
 
 def choose_mu(epsilon: float, r_est: float, d: int) -> float:
@@ -175,10 +188,7 @@ def contraction_diagnostic(
     sx = pre_inversion_sum(datum, x)
     sy = pre_inversion_sum(datum, y)
     gamma = max(sym_op_norm(sx), sym_op_norm(sy))
-    eye = np.eye(x.n)
-    gx = SpdMatrix(spd_solve(SpdMatrix(sx + mu * eye), eye))
-    gy = SpdMatrix(spd_solve(SpdMatrix(sy + mu * eye), eye))
-    lhs = thompson(gx, gy)
+    lhs = thompson(_apply_map(sx, "regularized", mu), _apply_map(sy, "regularized", mu))
     bound = gamma / (gamma + mu) * thompson(x, y)
     return lhs, bound
 
@@ -188,12 +198,59 @@ def _steps_growing(steps: list) -> bool:
     return len(tail) >= 2 and tail[-1] > tail[0]
 
 
+def _drive(datum: BLDatum, x: SpdMatrix, trace: IterTrace, step, check, max_iter: int,
+           residual: str) -> tuple[SolveResult, IterTrace]:
+    """The solver loop: evaluate each iterate once, check it, record it, step.
+
+    `check(k, x, ev, step_len, eigs)` returns the trace row's F_mu and
+    grad_norm plus a stop status, or None as status to go on. `step(k, x, ev)`
+    returns the next iterate with its evaluation (None to have it evaluated
+    here), or None when it cannot move, which ends the run as MaxIter. The one
+    evaluation of an iterate feeds its check, its row, the step from it and,
+    for the last iterate, the result; `residual` names the row column that the
+    result reports as its residual.
+    """
+    t0 = time.perf_counter_ns()
+    k, step_len, ev, status = 0, math.nan, None, None
+    while True:
+        try:
+            if k:
+                moved = step(k, x, ev)
+                if moved is None:
+                    break
+                x_next, ev = moved
+                step_len = thompson(x_next, x)
+                x = x_next
+            if ev is None:
+                ev = eval_F(datum, x)
+            eigs = x.eigenvalues()
+            f_mu, grad_norm, status = check(k, x, ev, step_len, eigs)
+        except CholeskyFailure as exc:
+            raise CholeskyFailure(f"iteration {k}: {exc}") from exc
+        trace.record(k, ev.value, f_mu, grad_norm, step_len, eigs, t0)
+        if status is not None or k >= max_iter:
+            break
+        k += 1
+    status = status or MAX_ITER
+    result = SolveResult(
+        X_star=x,
+        bl_constant=bl_constant_from_F(ev.value),
+        F_value=ev.value,
+        iterations=len(trace.rows) - 1,
+        converged=status == CONVERGED,
+        residual=getattr(trace.rows[-1], residual),
+        grad_norm=sym_op_norm(ev.gradient),
+        status=status,
+    )
+    return result, trace
+
+
 def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult, IterTrace]:
     """Iterate the selected map from x0 until the Thompson step is below tol.
 
     Raises ValidationFailed unless the datum passes the hard checks (ranks,
     weight range, scaling). Flags InfeasibilitySuspected when the iterate's
-    condition number exceeds blowup_cond, or on MaxIter with growing steps;
+    condition number exceeds BLOWUP_COND, or on MaxIter with growing steps;
     infeasible data have no finite fixed point, so blowup is the expected
     signature. Numeric failures carry the iteration index.
     """
@@ -217,77 +274,27 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
             config.epsilon, r_base, datum.d
         )
         trace.mu_events.append((0, mu))
+    adaptive = config.solver == "regularized" and config.mu_override is None
 
-    t0 = time.perf_counter_ns()
-
-    def record(k: int, xk: SpdMatrix, step_len: float) -> tuple[float, float]:
-        ev = eval_F(datum, xk)
-        f_mu = ev.value + mu * xk.trace()
-        g = ev.gradient.a if mu == 0.0 else ev.gradient.a + mu * np.eye(xk.n)
-        eigs = xk.eigenvalues()
-        trace.append(
-            TraceRow(
-                iter=k,
-                F=ev.value,
-                F_mu=f_mu,
-                grad_norm=sym_op_norm(g),
-                thompson_step=step_len,
-                min_eig=float(eigs[0]),
-                max_eig=float(eigs[-1]),
-                time_ns=time.perf_counter_ns() - t0,
-            )
-        )
-        return float(eigs[0]), float(eigs[-1])
-
-    try:
-        record(0, x, math.nan)
-    except CholeskyFailure as exc:
-        raise CholeskyFailure(f"iteration 0: {exc}") from exc
-    status = MAX_ITER
-    iterations = 0
-    step_len = math.nan
-
-    for k in range(1, config.max_iter + 1):
-        try:
-            if config.solver == "plain_g":
-                x_next = step_G(datum, x)
-            elif config.solver == "regularized":
-                x_next = step_G_mu(datum, x, mu)
-            else:
-                x_next = step_G_tilde(datum, x)
-            step_len = thompson(x_next, x)
-            x = x_next
-            iterations = k
-            lo, hi = record(k, x, step_len)
-        except CholeskyFailure as exc:
-            raise CholeskyFailure(f"iteration {k}: {exc}") from exc
-
-        if config.solver == "regularized" and config.mu_override is None:
+    def check(k, x, ev, step_len, eigs):
+        nonlocal mu, r_seen, r_base
+        f_mu = ev.value + mu * x.trace()
+        grad_norm = sym_op_norm(ev.gradient.a if mu == 0.0 else ev.gradient.a + mu * np.eye(x.n))
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        if adaptive:
             r_seen = max(r_seen, hi)
             if r_seen > 2.0 * r_base:  # restart the contraction budget
                 r_base = r_seen
                 mu = choose_mu(config.epsilon, r_base, datum.d)
                 trace.mu_events.append((k, mu))
+        if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
+            return f_mu, grad_norm, INFEASIBILITY_SUSPECTED
+        return f_mu, grad_norm, CONVERGED if step_len <= config.tol else None
 
-        if lo <= 0.0 or hi / lo > config.blowup_cond:
-            status = INFEASIBILITY_SUSPECTED
-            break
-        if step_len <= config.tol:
-            status = CONVERGED
-            break
+    def step(k, x, ev):
+        return _apply_map(ev.pre_sum, config.solver, mu), None
 
-    if status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
-        status = INFEASIBILITY_SUSPECTED
-
-    final = eval_F(datum, x)
-    result = SolveResult(
-        X_star=x,
-        bl_constant=math.exp(-0.5 * final.value),
-        F_value=final.value,
-        iterations=iterations,
-        converged=status == CONVERGED,
-        residual=step_len,
-        grad_norm=sym_op_norm(final.gradient),
-        status=status,
-    )
+    result, trace = _drive(datum, x, trace, step, check, config.max_iter, "thompson_step")
+    if result.status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
+        result.status = INFEASIBILITY_SUSPECTED
     return result, trace

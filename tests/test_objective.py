@@ -129,6 +129,11 @@ class TestBlConstant:
             math.sqrt(3) / 2
         )
 
+    def test_overflow_is_infinite(self):
+        # Holder with d=10 and both maps scaled by 1e-40: the constant is 1e400
+        datum = BLDatum.from_maps([1e-40 * np.eye(10)] * 2, [0.5, 0.5])
+        assert bl_constant_from_X(datum, SpdMatrix.identity(10)) == math.inf
+
     def test_consistent_with_recovered_input(self):
         datum = feasible_datum(3)
         res, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))

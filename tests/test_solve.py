@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import blfix.objective
+from blfix.baseline import RgdConfig, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_young
 from blfix.errors import InvalidArgument, ValidationFailed
@@ -12,6 +14,7 @@ from blfix.solve import (
     CONVERGED,
     INFEASIBILITY_SUSPECTED,
     MAX_ITER,
+    SOLVERS,
     SolveConfig,
     choose_mu,
     contraction_diagnostic,
@@ -396,3 +399,34 @@ def test_fejer_monotone():
 
 def test_geometric_decay_small():
     check_geometric_decay(datum_ids=(0, 1), mus=(1e-1,), n_steps=150)
+
+
+class TestOneEvaluationPerIterate:
+    """Every solver computes the pushforwards of each iterate once, in eval_F."""
+
+    @staticmethod
+    def count_pushforwards(monkeypatch) -> list:
+        calls = [0]
+        original = blfix.objective.pushforwards
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blfix.objective, "pushforwards", counting)
+        return calls
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("datum", [gen_young(), feasible_datum(3)], ids=["young", "random"])
+    def test_fixed_point(self, monkeypatch, solver, datum):
+        calls = self.count_pushforwards(monkeypatch)
+        tol = 1e-6 if solver == "regularized" else 1e-10
+        result, _ = solve_fixed_point(datum, SolveConfig(solver=solver, tol=tol))
+        assert result.iterations > 1
+        assert calls[0] == result.iterations + 1
+
+    def test_rgd_without_backtracking(self, monkeypatch):
+        calls = self.count_pushforwards(monkeypatch)
+        result, _ = solve_rgd(feasible_datum(3), RgdConfig(backtracking=False, max_iter=200))
+        assert result.iterations > 1
+        assert calls[0] == result.iterations + 1
