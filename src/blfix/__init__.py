@@ -28,14 +28,12 @@ from .errors import (
 )
 from .matcore import (
     SpdMatrix,
-    SymMatrix,
     load_matrix,
     log_det,
     matrix_exp_sym,
     max_gen_eig,
     save_matrix,
     spd_inverse,
-    spd_power,
     spd_solve,
     sym_eig,
     sym_op_norm,

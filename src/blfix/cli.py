@@ -51,7 +51,6 @@ SCHEMA = "blfix/1"
 
 _SOLVER_NAMES = {"g": "plain_g", "gmu": "regularized", "gtilde": "normalized", "rgd": "rgd"}
 _STATUS_EXIT = {CONVERGED: 0, MAX_ITER: 2, INFEASIBILITY_SUSPECTED: 3}
-_CHECK_CRITICAL_C_LIMIT = 10**6
 
 
 def _print_json(obj) -> None:
@@ -144,12 +143,10 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     datum = load_datum(args.datum)
     report = validate(datum)
-    c = None
-    if math.comb(datum.d, datum.dprime) <= _CHECK_CRITICAL_C_LIMIT:
-        try:
-            c = critical_c(datum, limit=_CHECK_CRITICAL_C_LIMIT)
-        except TooLarge:
-            c = None
+    try:
+        c = critical_c(datum)
+    except TooLarge:
+        c = None
     _print_json(
         {
             "schema": SCHEMA,

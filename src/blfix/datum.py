@@ -25,6 +25,7 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
 SCALING_TOL = 1e-10
 _SUBSPACE_SLACK = 1e-9
 _COORD_SUBSPACE_CAP = 20000  # per dimension; sampled beyond this
+_RANDOM_PER_DIM = 100  # random subspaces sampled per dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,21 +128,16 @@ def _subspace_violation(datum: BLDatum, basis: np.ndarray, label: str):
     return None
 
 
-def validate(
-    datum: BLDatum,
-    *,
-    subspace_checks: bool = True,
-    random_per_dim: int = 100,
-    seed: int = 0,
-) -> ValidationReport:
+def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
     """Validate a datum for solving.
 
     Hard checks (gate solving): every map has full row rank, weights lie in
     (0, 1], and the dimensions satisfy sum_j w_j * dprime = d within 1e-10.
     The heuristic part samples subspaces against the dimension condition: all
-    coordinate subspaces (capped per dimension) plus `random_per_dim` uniform
-    random subspaces per dimension 1..d-1. It reports only "no violation
-    found", never a proof.
+    coordinate subspaces (capped per dimension) plus _RANDOM_PER_DIM uniform
+    random subspaces per dimension 1..d-1, drawn with the fixed seed 0 so that
+    every run samples the same ones. It reports only "no violation found",
+    never a proof.
     """
     rank_ok = [_matrix_rank(L) == datum.dprime for L in datum.maps]
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
@@ -152,7 +148,7 @@ def validate(
         return ValidationReport(rank_ok, scaling_ok, residual, weight_range_ok, None)
 
     violations = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     eye = np.eye(datum.d)
     for k in range(1, datum.d):
         n_coord = math.comb(datum.d, k)
@@ -167,7 +163,7 @@ def validate(
             v = _subspace_violation(datum, eye[:, list(idx)], f"coordinate subspace {idx}")
             if v:
                 violations.append(v)
-        for t in range(random_per_dim):
+        for t in range(_RANDOM_PER_DIM):
             q, _ = np.linalg.qr(rng.standard_normal((datum.d, k)))
             v = _subspace_violation(datum, q, f"random subspace (dim {k}, draw {t})")
             if v:
@@ -200,6 +196,8 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
     Deterministic for a given seed. Weights are chosen so the scaling condition
     holds exactly; any rank-deficient draw is regenerated.
     """
+    if d < 1 or dprime < 1 or m < 1:
+        raise InvalidShape("need d >= 1, dprime >= 1 and m >= 1")
     if dprime > d:
         raise InvalidShape(f"dprime={dprime} must not exceed d={d}")
     w = d / (m * dprime)

@@ -34,25 +34,6 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
-class SymMatrix:
-    """Real symmetric matrix; input is symmetrized as (A + A^T)/2 on construction."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, entries):
-        a = _as_square(entries)
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        self.a = a
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(n={self.n})"
-
-
 class SpdMatrix:
     """Symmetric positive definite matrix, validated by Cholesky on construction.
 
@@ -96,7 +77,7 @@ class SpdMatrix:
 
 
 def _mat(x) -> np.ndarray:
-    return x.a if isinstance(x, (SpdMatrix, SymMatrix)) else np.asarray(x, dtype=float)
+    return x.a if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
 
 
 def log_det(x: SpdMatrix) -> float:
@@ -150,16 +131,10 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
     return float(vals[-1])
 
 
-def matrix_exp_sym(s: SymMatrix) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix; the result is positive definite."""
+def matrix_exp_sym(s: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a symmetric array; the result is positive definite."""
     vals, vecs = sym_eig(s)
-    return SpdMatrix((vecs * np.exp(vals)) @ vecs.T)
-
-
-def spd_power(x: SpdMatrix, t: float) -> SpdMatrix:
-    """Real matrix power x^t through the eigendecomposition."""
-    vals, vecs = np.linalg.eigh(x.a)
-    return SpdMatrix((vecs * vals**t) @ vecs.T)
+    return (vecs * np.exp(vals)) @ vecs.T
 
 
 # --- matrix JSON interface ---------------------------------------------------

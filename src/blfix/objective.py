@@ -20,7 +20,7 @@ import numpy as np
 
 from .datum import BLDatum
 from .errors import DimensionMismatch, InvalidArgument
-from .matcore import SpdMatrix, SymMatrix, log_det, spd_inverse, spd_solve
+from .matcore import SpdMatrix, log_det, spd_inverse, spd_solve
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class GaussianInput:
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """Value, symmetrized gradient, the pushforwards L_j X L_j^T, and the
+    """Value, symmetric gradient, the pushforwards L_j X L_j^T, and the
     pre-inversion sum that the fixed-point maps invert."""
 
     value: float
-    gradient: SymMatrix
+    gradient: np.ndarray
     pushforwards: tuple
     pre_sum: np.ndarray
 
@@ -66,7 +66,7 @@ def eval_F(datum: BLDatum, x: SpdMatrix, pf=None) -> ObjectiveEval:
         sum(w * log_det(t) for w, t in zip(datum.weights, pf)) - log_det(x)
     )
     s = pre_inversion_sum(datum, x, pf)
-    return ObjectiveEval(value, SymMatrix(s - spd_inverse(x)), pf, s)
+    return ObjectiveEval(value, s - spd_inverse(x), pf, s)
 
 
 def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
@@ -78,7 +78,7 @@ def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
         return base
     return ObjectiveEval(
         base.value + mu * x.trace(),
-        SymMatrix(base.gradient.a + mu * np.eye(x.n)),
+        base.gradient + mu * np.eye(x.n),
         base.pushforwards,
         base.pre_sum,
     )

@@ -45,6 +45,20 @@ SOLVERS = ("plain_g", "regularized", "normalized")
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value is a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgument(f"{name} must be finite and positive")
+
+
+def _check_budget(tol_name: str, tol: float, max_iter: int) -> None:
+    """The stopping rule every solver config shares: a finite positive tolerance
+    and at least one iteration."""
+    _check_positive(tol_name, tol)
+    if max_iter < 1:
+        raise InvalidArgument("max_iter must be at least 1")
+
+
 @dataclass
 class SolveConfig:
     solver: str = "plain_g"
@@ -57,14 +71,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidArgument(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        if self.tol <= 0.0:
-            raise InvalidArgument("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidArgument("max_iter must be at least 1")
-        if self.epsilon <= 0.0:
-            raise InvalidArgument("epsilon must be positive")
-        if self.mu_override is not None and self.mu_override <= 0.0:
-            raise InvalidArgument("mu_override must be positive when given")
+        _check_positive("epsilon", self.epsilon)  # first: the CLI derives gmu's tol from it
+        if self.mu_override is not None:
+            _check_positive("mu_override", self.mu_override)
+        _check_budget("tol", self.tol, self.max_iter)
 
 
 @dataclass
@@ -279,7 +289,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     def check(k, x, ev, step_len, eigs):
         nonlocal mu, r_seen, r_base
         f_mu = ev.value + mu * x.trace()
-        grad_norm = sym_op_norm(ev.gradient.a if mu == 0.0 else ev.gradient.a + mu * np.eye(x.n))
+        grad_norm = sym_op_norm(ev.gradient if mu == 0.0 else ev.gradient + mu * np.eye(x.n))
         lo, hi = float(eigs[0]), float(eigs[-1])
         if adaptive:
             r_seen = max(r_seen, hi)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from blfix.datum import BLDatum, gen_random
-from blfix.matcore import SpdMatrix, SymMatrix
+from blfix.matcore import SpdMatrix
 
 # (d, dprime, m) triples for which generic maps with uniform weights sit
 # strictly inside the feasibility constraints (checked against the sampled
@@ -49,6 +49,6 @@ def rand_spd_box(rng, n: int, lo: float, hi: float) -> SpdMatrix:
     return SpdMatrix((q * ev) @ q.T)
 
 
-def rand_sym(rng, n: int, scale: float = 1.0) -> SymMatrix:
+def rand_sym(rng, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) * scale
-    return SymMatrix(a + a.T)
+    return a + a.T

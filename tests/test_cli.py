@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def young_path(tmp_path):
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def assert_error_exit(capsys, *argv) -> str:
+    """The command fails with exit 1 and one blfix error line, no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("blfix: error:") and "Traceback" not in captured.err
+    return captured.err
 
 
 def _strip_volatile(summary: dict) -> dict:
@@ -256,6 +266,31 @@ class TestUsage:
             argv = ["solve", young_path, "--solver", "g", "--x0", str(bad)]
         code, out = run_cli(capsys, *argv)
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--dprime", "0"],
+        ["gen", "random", "--m", "0"],
+        ["bench", "--d", "4", "--dprime", "2", "--m", "0"],
+    ], ids=["gen-dprime-0", "gen-m-0", "bench-m-0"])
+    def test_empty_random_shape_exits_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert_error_exit(capsys, *argv)
+
+    @pytest.mark.parametrize("args, field", [
+        (["--solver", "g", "--tol", "nan"], "tol"),
+        (["--solver", "g", "--tol", "inf"], "tol"),
+        (["--solver", "g", "--max-iter", "-3"], "max_iter"),
+        (["--solver", "gmu", "--eps", "nan"], "epsilon"),
+        (["--solver", "gmu", "--mu", "inf"], "mu_override"),
+        (["--solver", "rgd", "--tol", "nan"], "tol_grad"),
+        (["--solver", "rgd", "--tol", "0"], "tol_grad"),
+        (["--solver", "rgd", "--max-iter", "-3"], "max_iter"),
+    ], ids=lambda a: "-".join(a[1::2]) if isinstance(a, list) else a)
+    def test_malformed_config_exits_1(self, capsys, young_path, args, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            err = assert_error_exit(capsys, "solve", young_path, *args)
+        assert err.startswith(f"blfix: error: {field} must be")
 
     def test_console_script_runs(self, young_path):
         proc = subprocess.run(

@@ -80,7 +80,7 @@ class TestValidate:
 
     def test_pool_shapes_feasible(self):
         for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES):
-            rep = validate(gen_random(d, dp, m, seed=100 + i), random_per_dim=25)
+            rep = validate(gen_random(d, dp, m, seed=100 + i))
             assert rep.accepted and rep.subspace_heuristic_ok, (d, dp, m)
 
 

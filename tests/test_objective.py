@@ -45,7 +45,7 @@ class TestEvalF:
 
     def test_young_gradient_at_identity(self):
         ev = eval_F(gen_young(), SpdMatrix.identity(2))
-        assert np.allclose(ev.gradient.a, [[0.0, -1 / 3], [-1 / 3, 0.0]], atol=1e-14)
+        assert np.allclose(ev.gradient, [[0.0, -1 / 3], [-1 / 3, 0.0]], atol=1e-14)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
@@ -58,7 +58,7 @@ class TestEvalFMu:
         x = rand_spd(np.random.default_rng(1), 2)
         a, b = eval_F(datum, x), eval_F_mu(datum, x, 0.0)
         assert a.value == b.value
-        assert np.array_equal(a.gradient.a, b.gradient.a)
+        assert np.array_equal(a.gradient, b.gradient)
 
     def test_young_with_trace_term(self):
         ev = eval_F_mu(gen_young(), SpdMatrix.identity(2), 0.1)
@@ -67,7 +67,7 @@ class TestEvalFMu:
     def test_holder_diag(self):
         ev = eval_F_mu(gen_holder(2, 1), SpdMatrix(np.diag([2.0, 3.0])), 1.0)
         assert ev.value == pytest.approx(5.0)
-        assert np.allclose(ev.gradient.a, np.eye(2), atol=1e-12)
+        assert np.allclose(ev.gradient, np.eye(2), atol=1e-12)
 
     def test_negative_mu_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -150,12 +150,12 @@ def check_gradient_finite_differences(trials=60, seed=20, h=1e-6):
         datum = gen_random(d, dp, m, seed=i)
         x = rand_spd(rng, d, shift=0.4)
         hdir = rand_sym(rng, d)
-        hdir = type(hdir)(hdir.a / np.linalg.norm(hdir.a))
-        grad = eval_F(datum, x).gradient.a
-        fp = eval_F(datum, SpdMatrix(x.a + h * hdir.a)).value
-        fm = eval_F(datum, SpdMatrix(x.a - h * hdir.a)).value
+        hdir = hdir / np.linalg.norm(hdir)
+        grad = eval_F(datum, x).gradient
+        fp = eval_F(datum, SpdMatrix(x.a + h * hdir)).value
+        fm = eval_F(datum, SpdMatrix(x.a - h * hdir)).value
         fd = (fp - fm) / (2 * h)
-        ip = float(np.sum(grad * hdir.a))
+        ip = float(np.sum(grad * hdir))
         assert abs(fd - ip) <= 1e-5 * max(1.0, abs(ip)), (d, dp, m, i, fd, ip)
 
 
@@ -214,8 +214,8 @@ def check_gradient_lipschitz(trials=120, seed=24, mu=0.1):
         width = delta * rng.uniform(1.5, 4.0)
         x = rand_spd_box(rng, datum.d, delta, width)
         y = rand_spd_box(rng, datum.d, delta, width)
-        gx = eval_F_mu(datum, x, mu).gradient.a
-        gy = eval_F_mu(datum, y, mu).gradient.a
+        gx = eval_F_mu(datum, x, mu).gradient
+        gy = eval_F_mu(datum, y, mu).gradient
         dmin = min(x.eigenvalues()[0], y.eigenvalues()[0])
         assert sym_op_norm(gx - gy) <= (2.0 / dmin) * sym_op_norm(x.a - y.a) + 1e-8
 
@@ -237,7 +237,7 @@ def check_gradient_norm_bound(trials=120, seed=25):
         x = rand_spd_box(rng, datum.d, rng.uniform(0.05, 1.0), rng.uniform(1.0, 8.0))
         mu = (0.0, 1e-3, 0.1)[i % 3]
         delta = float(x.eigenvalues()[0])
-        assert sym_op_norm(eval_F_mu(datum, x, mu).gradient.a) <= 1.0 / delta + mu + 1e-8
+        assert sym_op_norm(eval_F_mu(datum, x, mu).gradient) <= 1.0 / delta + mu + 1e-8
 
 
 def test_gradient_norm_bound():
@@ -254,7 +254,7 @@ def test_gradient_norm_bound_general_shapes():
         mu = (0.0, 1e-3, 0.1)[i % 3]
         delta = float(x.eigenvalues()[0])
         bound = max(1.0, s - 1.0) / delta + mu + 1e-8
-        assert sym_op_norm(eval_F_mu(datum, x, mu).gradient.a) <= bound
+        assert sym_op_norm(eval_F_mu(datum, x, mu).gradient) <= bound
 
 
 def test_pre_inversion_sum_symmetry():

@@ -1,13 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blfix.baseline
 import blfix.objective
+import blfix.solve
 from blfix.baseline import RgdConfig, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_young
-from blfix.errors import InvalidArgument, ValidationFailed
+from blfix.errors import CholeskyFailure, InvalidArgument, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -24,7 +29,7 @@ from blfix.solve import (
     step_G_tilde,
 )
 
-from conftest import feasible_datum, rand_spd
+from conftest import FEASIBLE_SHAPES, feasible_datum, rand_spd
 
 YOUNG_XSTAR = SpdMatrix([[1.0, 0.5], [0.5, 1.0]])
 YOUNG_TARGET = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -208,6 +213,94 @@ class TestSolveFixedPoint:
         assert lines[1].split(",")[4] == "nan"
 
 
+class TestSolveConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", 0.0), ("tol", math.nan), ("tol", math.inf),
+        ("max_iter", 0), ("max_iter", -3),
+        ("epsilon", -1e-6), ("epsilon", math.nan), ("epsilon", math.inf),
+        ("mu_override", 0.0), ("mu_override", math.nan), ("mu_override", math.inf),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(InvalidArgument, match=field):
+            SolveConfig(**{field: value})
+
+
+# --- symmetries of the constant ---------------------------------------------------
+#
+# F = -2 log BL, so L_j -> c L_j adds 2 d log c to the minimum of F and
+# L_j -> L_j A adds 2 log |det A|.
+
+SYMMETRY_SHAPES = [i for i, s in enumerate(FEASIBLE_SHAPES) if s[0] <= 6]
+
+
+def _plain_F(datum: BLDatum) -> float:
+    res, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+    assert res.status == CONVERGED
+    return res.F_value
+
+
+@functools.cache
+def _base_F(i: int) -> float:
+    return _plain_F(feasible_datum(i))
+
+
+def _moved_F(i: int, transform) -> float:
+    datum = feasible_datum(i)
+    return _plain_F(BLDatum.from_maps([transform(L) for L in datum.maps], datum.weights))
+
+
+def _young_scaled(c: float) -> BLDatum:
+    young = gen_young()
+    return BLDatum.from_maps([c * L for L in young.maps], young.weights)
+
+
+class TestSymmetries:
+    @settings(max_examples=15, deadline=None)
+    @given(i=st.sampled_from(SYMMETRY_SHAPES), log10_c=st.floats(-3.0, 3.0))
+    def test_scaling(self, i, log10_c):
+        c = 10.0**log10_c
+        d = FEASIBLE_SHAPES[i][0]
+        assert abs(_moved_F(i, lambda L: c * L) - (_base_F(i) + 2 * d * math.log(c))) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        i=st.sampled_from(SYMMETRY_SHAPES),
+        seed=st.integers(0, 2**32 - 1),
+        sv=st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
+    )
+    def test_change_of_basis(self, i, seed, sv):
+        rng = np.random.default_rng(seed)
+        d = FEASIBLE_SHAPES[i][0]
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = (u * sv[:d]) @ v.T
+        log_det_a = float(np.sum(np.log(sv[:d])))
+        assert abs(_moved_F(i, lambda L: L @ a) - (_base_F(i) + 2 * log_det_a)) <= 1e-9
+
+    # Known defects outside the domain above; each xfail must keep failing.
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="cond(X) passes BLOWUP_COND on a feasible datum")
+    def test_near_parallel_young(self):
+        datum = BLDatum.from_maps([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1e-9]]], [2 / 3] * 3)
+        res, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+        assert res.status == CONVERGED
+        assert res.bl_constant == pytest.approx(1e3 * math.sqrt(3) / 2, rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=CholeskyFailure,
+                       reason="the pushforwards underflow to a singular matrix")
+    def test_young_scaled_down(self):
+        f = _plain_F(_young_scaled(1e-200))
+        assert abs(f - (math.log(4 / 3) + 4 * math.log(1e-200))) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.xfail(strict=True, raises=InvalidArgument,
+                       reason="the pushforwards overflow to infinity")
+    def test_young_scaled_up(self):
+        f = _plain_F(_young_scaled(1e160))
+        assert abs(f - (math.log(4 / 3) + 4 * math.log(1e160))) <= 1e-9
+
+
 # --- randomized map properties ---------------------------------------------------
 
 TOL = 1e-8
@@ -351,7 +444,7 @@ def check_fixed_point_residual(runs=6):
         res_mu, trace = solve_fixed_point(datum, cfg)
         assert res_mu.converged
         mu = trace.mu_events[-1][1]
-        g = eval_F_mu(datum, res_mu.X_star, mu).gradient.a
+        g = eval_F_mu(datum, res_mu.X_star, mu).gradient
         assert sym_op_norm(g) <= 1e-6
 
 
@@ -405,28 +498,36 @@ class TestOneEvaluationPerIterate:
     """Every solver computes the pushforwards of each iterate once, in eval_F."""
 
     @staticmethod
-    def count_pushforwards(monkeypatch) -> list:
+    def count(monkeypatch, name: str, *modules) -> list:
+        """Count the calls of `name` made through any of the given modules."""
         calls = [0]
-        original = blfix.objective.pushforwards
+        original = getattr(modules[0], name)
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(blfix.objective, "pushforwards", counting)
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("datum", [gen_young(), feasible_datum(3)], ids=["young", "random"])
     def test_fixed_point(self, monkeypatch, solver, datum):
-        calls = self.count_pushforwards(monkeypatch)
+        calls = self.count(monkeypatch, "pushforwards", blfix.objective)
         tol = 1e-6 if solver == "regularized" else 1e-10
         result, _ = solve_fixed_point(datum, SolveConfig(solver=solver, tol=tol))
         assert result.iterations > 1
         assert calls[0] == result.iterations + 1
 
-    def test_rgd_without_backtracking(self, monkeypatch):
-        calls = self.count_pushforwards(monkeypatch)
-        result, _ = solve_rgd(feasible_datum(3), RgdConfig(backtracking=False, max_iter=200))
+    def test_rgd(self, monkeypatch):
+        # eval_F computes the start point's pushforwards; each line-search
+        # trial computes its own through the baseline module and hands them on
+        start = self.count(monkeypatch, "pushforwards", blfix.objective)
+        trials = self.count(monkeypatch, "pushforwards", blfix.baseline)
+        evals = self.count(monkeypatch, "eval_F", blfix.solve, blfix.baseline)
+        result, _ = solve_rgd(feasible_datum(3), RgdConfig(max_iter=200))
         assert result.iterations > 1
-        assert calls[0] == result.iterations + 1
+        assert start[0] == 1
+        assert trials[0] >= result.iterations
+        assert evals[0] == trials[0] + 1
