@@ -34,6 +34,14 @@ def _as_square(entries) -> np.ndarray:
     return a
 
 
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a, or of each matrix in a stack of them."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise CholeskyFailure("matrix is not positive definite") from exc
+
+
 class SpdMatrix:
     """Symmetric positive definite matrix, validated by Cholesky on construction.
 
@@ -48,10 +56,7 @@ class SpdMatrix:
     def __init__(self, entries):
         a = _as_square(entries)
         a = 0.5 * (a + a.T)
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyFailure("matrix is not positive definite") from exc
+        chol = cholesky(a)
         a.setflags(write=False)
         chol.setflags(write=False)
         self.a = a

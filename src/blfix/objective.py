@@ -33,7 +33,7 @@ class GaussianInput:
 @dataclass(frozen=True)
 class ObjectiveEval:
     """Value, symmetric gradient, the pushforwards L_j X L_j^T, and the
-    pre-inversion sum that the fixed-point maps invert."""
+    pre-inversion sum sum_j w_j L_j^T (L_j X L_j^T)^{-1} L_j."""
 
     value: float
     gradient: np.ndarray

@@ -23,17 +23,19 @@ status whose bl_constant is still correct.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from ._util import atomic_write_text
 from .cone import thompson
 from .datum import BLDatum, validate
 from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, ValidationFailed
-from .matcore import SpdMatrix, spd_solve, sym_op_norm
+from .matcore import SpdMatrix, cholesky, log_det, sym_op_norm
 from .objective import bl_constant_from_F, eval_F, pre_inversion_sum
 
 CONVERGED = "Converged"
@@ -136,25 +138,92 @@ class IterTrace:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _apply_map(s: np.ndarray, solver: str, mu: float = 0.0) -> SpdMatrix:
-    """The solver's map (G, G_mu or G~) of an iterate, given its pre-inversion sum s."""
-    eye = np.eye(s.shape[0])
-    if solver == "regularized":
-        s = s + mu * eye
-    g = SpdMatrix(spd_solve(SpdMatrix(s), eye))
-    return SpdMatrix(g.a / g.trace()) if solver == "normalized" else g
+class _Whitened:
+    """A fixed-point iterate X = T T^T, and the datum in the coordinates where X
+    is the identity: there the maps are M_j = L_j T, and `evaluate` makes one
+    batched call per stage for all m maps,
+
+        M_j M_j^T = C_j C_j^T,   W_j = C_j^{-1} M_j,   S = sum_j w_j W_j^T W_j,
+        F = sum_j w_j 2 sum log diag C_j - 2 log|det T|,
+
+    where S = T^T P T for the pre-inversion sum P at X, and the m triangular
+    solves are one solve against the block diagonal of the C_j. Each L_j is
+    first divided by 2^e_j, e_j the binary exponent of its largest entry. That
+    is exact and leaves P unchanged, so no pushforward can overflow or
+    underflow; F moves by 2 ln2 d' sum_j w_j e_j, which is added back.
+    `step_len` is the Thompson length of the step that reached the iterate.
+    """
+
+    def __init__(self, datum: BLDatum, x: SpdMatrix):
+        if x.n != datum.d:
+            raise DimensionMismatch(f"start point is {x.n}x{x.n}, datum has d={datum.d}")
+        exps = [math.frexp(float(np.max(np.abs(L))))[1] for L in datum.maps]
+        self.maps = np.vstack([np.ldexp(L, -e) for L, e in zip(datum.maps, exps)])
+        self.shape = (datum.m, datum.dprime, datum.d)
+        self.row_w = np.repeat(datum.weights, datum.dprime)
+        self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
+        rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
+        self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
+                          np.tile(rows, datum.dprime).ravel())
+        self.blocks = np.zeros((rows.size, rows.size), order="F")  # shared by the iterates
+        self.t, self.t_inv = x.chol, dtrtrs(x.chol, np.eye(x.n), lower=1)[0]
+        self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
+
+    def evaluate(self) -> "_Whitened":
+        """Set value (F), s (S) and gradient (T^{-T} (S - I) T^{-1}, the one of F)."""
+        m = self.maps @ self.t
+        stacked = m.reshape(self.shape)
+        c = cholesky(stacked @ stacked.transpose(0, 2, 1))
+        self.blocks[self.block_idx] = c.ravel()
+        w = np.sqrt(self.row_w)[:, None] * dtrtrs(self.blocks, m, lower=1)[0]
+        self.s = w.T @ w
+        g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
+        self.gradient = 0.5 * (g + g.T)
+        log_det_pf = 2.0 * float(self.row_w @ np.log(self.blocks.diagonal()))
+        self.value = log_det_pf - 2.0 * self.log_det_t + self.offset
+        return self
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.t @ self.t.T)
+
+    def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
+        """The evaluated image of this iterate under the solver's map.
+
+        Here G(X) = S^{-1} and G_mu(X) = (S + mu T^T T)^{-1}; with that matrix
+        factored as R R^T, the next T is T R^{-T}. The Thompson metric is
+        congruence invariant, so the step's length is max |log eig| of the
+        matrix, shifted by the log of the trace that G~ divides by.
+        """
+        s = self.s + mu * (self.t.T @ self.t) if solver == "regularized" else self.s
+        r = cholesky(s)
+        lam = np.linalg.eigvalsh(s)
+        nxt = copy.copy(self)
+        nxt.t, nxt.t_inv = dtrtrs(r, self.t.T, lower=1)[0].T, r.T @ self.t_inv
+        nxt.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
+        if solver == "normalized":
+            shift = math.log(np.vdot(nxt.t, nxt.t))  # the log of the trace of T T^T
+            nxt.t, nxt.t_inv = nxt.t * math.exp(-0.5 * shift), nxt.t_inv * math.exp(0.5 * shift)
+            nxt.log_det_t -= 0.5 * len(s) * shift
+        nxt.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
+        return nxt.evaluate()
+
+
+def _map_step(datum: BLDatum, x: SpdMatrix, solver: str, mu: float = 0.0) -> SpdMatrix:
+    """The solver's map of x, by one kernel step."""
+    t = _Whitened(datum, x).evaluate().advance(solver, mu).t
+    return SpdMatrix(t @ t.T)
 
 
 def step_G(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
     """One plain fixed-point step: invert the weighted pullback sum."""
-    return _apply_map(pre_inversion_sum(datum, x), "plain_g")
+    return _map_step(datum, x, "plain_g")
 
 
 def step_G_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> SpdMatrix:
     """One regularized step; eigenvalues of the result lie strictly below 1/mu."""
     if mu <= 0.0:
         raise InvalidArgument("mu must be positive")
-    return _apply_map(pre_inversion_sum(datum, x), "regularized", mu)
+    return _map_step(datum, x, "regularized", mu)
 
 
 def step_G_tilde(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
@@ -163,7 +232,7 @@ def step_G_tilde(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
     The map is homogeneous, so normalizing picks the unit-trace representative
     of the same ray; any other norm would serve, the trace is linear and exact.
     """
-    return _apply_map(pre_inversion_sum(datum, x), "normalized")
+    return _map_step(datum, x, "normalized")
 
 
 def choose_mu(epsilon: float, r_est: float, d: int) -> float:
@@ -195,10 +264,8 @@ def contraction_diagnostic(
     """
     if mu < 0.0:
         raise InvalidArgument("mu must be nonnegative")
-    sx = pre_inversion_sum(datum, x)
-    sy = pre_inversion_sum(datum, y)
-    gamma = max(sym_op_norm(sx), sym_op_norm(sy))
-    lhs = thompson(_apply_map(sx, "regularized", mu), _apply_map(sy, "regularized", mu))
+    gamma = max(sym_op_norm(pre_inversion_sum(datum, p)) for p in (x, y))
+    lhs = thompson(_map_step(datum, x, "regularized", mu), _map_step(datum, y, "regularized", mu))
     bound = gamma / (gamma + mu) * thompson(x, y)
     return lhs, bound
 
@@ -208,10 +275,13 @@ def _steps_growing(steps: list) -> bool:
     return len(tail) >= 2 and tail[-1] > tail[0]
 
 
-def _drive(datum: BLDatum, x: SpdMatrix, trace: IterTrace, step, check, max_iter: int,
+def _drive(datum: BLDatum, x, trace: IterTrace, step, check, max_iter: int,
            residual: str) -> tuple[SolveResult, IterTrace]:
     """The solver loop: evaluate each iterate once, check it, record it, step.
 
+    An iterate is an SpdMatrix (RGD), evaluated by eval_F and measured by
+    thompson, or a `_Whitened` one (the fixed-point maps), which evaluates
+    itself and carries the length of the step that reached it.
     `check(k, x, ev, step_len, eigs)` returns the trace row's F_mu and
     grad_norm plus a stop status, or None as status to go on. `step(k, x, ev)`
     returns the next iterate with its evaluation (None to have it evaluated
@@ -220,6 +290,7 @@ def _drive(datum: BLDatum, x: SpdMatrix, trace: IterTrace, step, check, max_iter
     for the last iterate, the result; `residual` names the row column that the
     result reports as its residual.
     """
+    whitened = isinstance(x, _Whitened)
     t0 = time.perf_counter_ns()
     k, step_len, ev, status = 0, math.nan, None, None
     while True:
@@ -229,10 +300,10 @@ def _drive(datum: BLDatum, x: SpdMatrix, trace: IterTrace, step, check, max_iter
                 if moved is None:
                     break
                 x_next, ev = moved
-                step_len = thompson(x_next, x)
+                step_len = x_next.step_len if whitened else thompson(x_next, x)
                 x = x_next
             if ev is None:
-                ev = eval_F(datum, x)
+                ev = x.evaluate() if whitened else eval_F(datum, x)
             eigs = x.eigenvalues()
             f_mu, grad_norm, status = check(k, x, ev, step_len, eigs)
         except CholeskyFailure as exc:
@@ -243,7 +314,7 @@ def _drive(datum: BLDatum, x: SpdMatrix, trace: IterTrace, step, check, max_iter
         k += 1
     status = status or MAX_ITER
     result = SolveResult(
-        X_star=x,
+        X_star=SpdMatrix(x.t @ x.t.T) if whitened else x,
         bl_constant=bl_constant_from_F(ev.value),
         F_value=ev.value,
         iterations=len(trace.rows) - 1,
@@ -272,8 +343,6 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
             f"(residual {report.scaling_residual:g}), weight_range_ok={report.weight_range_ok}"
         )
     x = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
-    if x.n != datum.d:
-        raise DimensionMismatch(f"x0 is {x.n}x{x.n}, datum has d={datum.d}")
 
     trace = IterTrace()
     mu = 0.0
@@ -288,8 +357,8 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
 
     def check(k, x, ev, step_len, eigs):
         nonlocal mu, r_seen, r_base
-        f_mu = ev.value + mu * x.trace()
-        grad_norm = sym_op_norm(ev.gradient if mu == 0.0 else ev.gradient + mu * np.eye(x.n))
+        f_mu = ev.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
+        grad_norm = sym_op_norm(ev.gradient if mu == 0.0 else ev.gradient + mu * np.eye(datum.d))
         lo, hi = float(eigs[0]), float(eigs[-1])
         if adaptive:
             r_seen = max(r_seen, hi)
@@ -302,9 +371,11 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
         return f_mu, grad_norm, CONVERGED if step_len <= config.tol else None
 
     def step(k, x, ev):
-        return _apply_map(ev.pre_sum, config.solver, mu), None
+        moved = x.advance(config.solver, mu)
+        return moved, moved
 
-    result, trace = _drive(datum, x, trace, step, check, config.max_iter, "thompson_step")
+    result, trace = _drive(datum, _Whitened(datum, x), trace, step, check, config.max_iter,
+                           "thompson_step")
     if result.status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
         result.status = INFEASIBILITY_SUSPECTED
     return result, trace

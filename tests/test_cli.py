@@ -165,6 +165,22 @@ class TestSolve:
         assert result["bl_constant"] == math.inf
         assert result["F_value"] == pytest.approx(-800.0 * math.log(10.0), rel=1e-12)
 
+    @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde"])
+    @pytest.mark.parametrize("c", [1e-200, 1e160], ids=["1e-200", "1e160"])
+    def test_scaled_young(self, capsys, tmp_path, solver, c):
+        # L_j -> c L_j adds 4 ln c to Young's F; the pushforwards alone
+        # underflow (1e-200) or overflow (1e160) a double
+        young = gen_young()
+        path = str(tmp_path / "scaled.json")
+        save_datum(BLDatum.from_maps([c * L for L in young.maps], young.weights), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", path, "--solver", solver])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        f = json.loads(captured.out)["result"]["F_value"]
+        assert abs(f - (math.log(4 / 3) + 4 * math.log(c))) <= 1e-9
+
 
 class TestCheck:
     def test_young_report(self, capsys, young_path):

@@ -12,7 +12,7 @@ import blfix.solve
 from blfix.baseline import RgdConfig, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_young
-from blfix.errors import CholeskyFailure, InvalidArgument, ValidationFailed
+from blfix.errors import InvalidArgument, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -21,6 +21,7 @@ from blfix.solve import (
     MAX_ITER,
     SOLVERS,
     SolveConfig,
+    _Whitened,
     choose_mu,
     contraction_diagnostic,
     solve_fixed_point,
@@ -104,6 +105,59 @@ class TestStepGTilde:
     def test_young_from_identity(self):
         got = step_G_tilde(gen_young(), SpdMatrix.identity(2))
         assert np.allclose(got.a, [[0.5, 1 / 6], [1 / 6, 0.5]], atol=1e-14)
+
+
+class TestWhitenedKernel:
+    """The kernel's steps, step lengths and F against their direct formulas, at
+    a random point x != I of each feasible shape."""
+
+    MU = 0.3
+
+    @staticmethod
+    def point(i: int):
+        datum = feasible_datum(i)
+        return datum, rand_spd(np.random.default_rng(100 + i), datum.d)
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_steps_match_inverted_sum(self, i):
+        datum, x = self.point(i)
+        s = pre_inversion_sum(datum, x)
+        plain = np.linalg.inv(s)
+        expected = (
+            (step_G(datum, x), plain),
+            (step_G_mu(datum, x, self.MU), np.linalg.inv(s + self.MU * np.eye(datum.d))),
+            (step_G_tilde(datum, x), plain / np.trace(plain)),
+        )
+        for got, want in expected:
+            assert np.abs(got.a - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_step_length_is_thompson(self, i):
+        datum, x = self.point(i)
+        frame = _Whitened(datum, x).evaluate()
+        for solver in SOLVERS:
+            moved = frame.advance(solver, self.MU)
+            assert abs(moved.step_len - thompson(SpdMatrix(moved.t @ moved.t.T), x)) <= 1e-12
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_value_and_gradient_match_eval_F(self, i):
+        # at x, then at three iterates whose factors are no longer triangular
+        datum, x = self.point(i)
+        frame = _Whitened(datum, x).evaluate()
+        for _ in range(4):
+            ev = eval_F(datum, SpdMatrix(frame.t @ frame.t.T))
+            assert abs(frame.value - ev.value) <= 1e-12 * max(1.0, abs(ev.value))
+            scale = max(np.abs(ev.pre_sum).max(), 1.0)
+            assert np.abs(frame.gradient - ev.gradient).max() <= 1e-12 * scale
+            frame = frame.advance("plain_g")
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_start_point_does_not_change_the_constant(self, i):
+        datum, x = self.point(i)
+        from_x, _ = solve_fixed_point(datum, SolveConfig(x0=x))
+        from_identity, _ = solve_fixed_point(datum, SolveConfig())
+        assert from_x.status == from_identity.status == CONVERGED
+        assert from_x.bl_constant == pytest.approx(from_identity.bl_constant, rel=1e-9)
 
 
 class TestChooseMu:
@@ -277,7 +331,7 @@ class TestSymmetries:
         log_det_a = float(np.sum(np.log(sv[:d])))
         assert abs(_moved_F(i, lambda L: L @ a) - (_base_F(i) + 2 * log_det_a)) <= 1e-9
 
-    # Known defects outside the domain above; each xfail must keep failing.
+    # A known defect outside the domain above; the xfail must keep failing.
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="cond(X) passes BLOWUP_COND on a feasible datum")
@@ -287,15 +341,10 @@ class TestSymmetries:
         assert res.status == CONVERGED
         assert res.bl_constant == pytest.approx(1e3 * math.sqrt(3) / 2, rel=1e-6)
 
-    @pytest.mark.xfail(strict=True, raises=CholeskyFailure,
-                       reason="the pushforwards underflow to a singular matrix")
     def test_young_scaled_down(self):
         f = _plain_F(_young_scaled(1e-200))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e-200))) <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.xfail(strict=True, raises=InvalidArgument,
-                       reason="the pushforwards overflow to infinity")
     def test_young_scaled_up(self):
         f = _plain_F(_young_scaled(1e160))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e160))) <= 1e-9
@@ -495,7 +544,8 @@ def test_geometric_decay_small():
 
 
 class TestOneEvaluationPerIterate:
-    """Every solver computes the pushforwards of each iterate once, in eval_F."""
+    """Every solver evaluates each iterate once: the fixed-point solvers in the
+    whitened kernel, RGD in eval_F."""
 
     @staticmethod
     def count(monkeypatch, name: str, *modules) -> list:
@@ -514,11 +564,14 @@ class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("datum", [gen_young(), feasible_datum(3)], ids=["young", "random"])
     def test_fixed_point(self, monkeypatch, solver, datum):
-        calls = self.count(monkeypatch, "pushforwards", blfix.objective)
+        evals = self.count(monkeypatch, "evaluate", _Whitened)
+        pushforwards = self.count(monkeypatch, "pushforwards", blfix.objective)
+        sums = self.count(monkeypatch, "pre_inversion_sum", blfix.objective, blfix.solve)
         tol = 1e-6 if solver == "regularized" else 1e-10
         result, _ = solve_fixed_point(datum, SolveConfig(solver=solver, tol=tol))
         assert result.iterations > 1
-        assert calls[0] == result.iterations + 1
+        assert evals[0] == result.iterations + 1
+        assert pushforwards[0] == 0 and sums[0] == 0
 
     def test_rgd(self, monkeypatch):
         # eval_F computes the start point's pushforwards; each line-search
