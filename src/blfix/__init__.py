@@ -30,7 +30,6 @@ from .matcore import (
     SpdMatrix,
     load_matrix,
     log_det,
-    matrix_exp_sym,
     max_gen_eig,
     save_matrix,
     spd_inverse,

@@ -136,12 +136,6 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
     return float(vals[-1])
 
 
-def matrix_exp_sym(s: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric array; the result is positive definite."""
-    vals, vecs = sym_eig(s)
-    return (vecs * np.exp(vals)) @ vecs.T
-
-
 # --- matrix JSON interface ---------------------------------------------------
 #
 # {"n": <int>, "data": [[row], ...]} with row-major nested arrays.

@@ -32,13 +32,10 @@ class GaussianInput:
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """Value, symmetric gradient, the pushforwards L_j X L_j^T, and the
-    pre-inversion sum sum_j w_j L_j^T (L_j X L_j^T)^{-1} L_j."""
+    """Value and symmetric gradient."""
 
     value: float
     gradient: np.ndarray
-    pushforwards: tuple
-    pre_sum: np.ndarray
 
 
 def pushforwards(datum: BLDatum, x: SpdMatrix) -> tuple:
@@ -58,15 +55,14 @@ def pre_inversion_sum(datum: BLDatum, x: SpdMatrix, pf=None) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def eval_F(datum: BLDatum, x: SpdMatrix, pf=None) -> ObjectiveEval:
-    """Evaluate the objective and its gradient at x, from its pushforwards when given."""
-    if pf is None:
-        pf = pushforwards(datum, x)
+def eval_F(datum: BLDatum, x: SpdMatrix) -> ObjectiveEval:
+    """F and its gradient at x from the maps, the reference for the solvers' kernel."""
+    pf = pushforwards(datum, x)
     value = float(
         sum(w * log_det(t) for w, t in zip(datum.weights, pf)) - log_det(x)
     )
     s = pre_inversion_sum(datum, x, pf)
-    return ObjectiveEval(value, s - spd_inverse(x), pf, s)
+    return ObjectiveEval(value, s - spd_inverse(x))
 
 
 def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
@@ -76,12 +72,7 @@ def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
     base = eval_F(datum, x)
     if mu == 0.0:
         return base
-    return ObjectiveEval(
-        base.value + mu * x.trace(),
-        base.gradient + mu * np.eye(x.n),
-        base.pushforwards,
-        base.pre_sum,
-    )
+    return ObjectiveEval(base.value + mu * x.trace(), base.gradient + mu * np.eye(x.n))
 
 
 def bl_value_Z(datum: BLDatum, z: GaussianInput) -> float:

@@ -9,7 +9,7 @@ Three maps share one driver:
 Iteration stops when the Thompson length of the step drops below `tol`, the
 metric in which the maps are non-expansive (and, with mu > 0, contractive).
 The gradient norm is reported but never used for stopping. The RGD baseline
-runs in the same loop with its own step and check.
+runs in the same loop, on the same iterates, with its own step and check.
 
 A practical note on the regularized map: for feasible data the objective is
 scale invariant, so the trace term has no interior stationary point and the
@@ -34,9 +34,9 @@ from scipy.linalg.lapack import dtrtrs
 from ._util import atomic_write_text
 from .cone import thompson
 from .datum import BLDatum, validate
-from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, ValidationFailed
+from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, StepFailure, ValidationFailed
 from .matcore import SpdMatrix, cholesky, log_det, sym_op_norm
-from .objective import bl_constant_from_F, eval_F, pre_inversion_sum
+from .objective import bl_constant_from_F, pre_inversion_sum
 
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
@@ -139,19 +139,20 @@ class IterTrace:
 
 
 class _Whitened:
-    """A fixed-point iterate X = T T^T, and the datum in the coordinates where X
-    is the identity: there the maps are M_j = L_j T, and `evaluate` makes one
-    batched call per stage for all m maps,
+    """An iterate X = T T^T, and the datum in the coordinates where X is the
+    identity: there the maps are M_j = L_j T, and `evaluate` makes one batched
+    call per stage for all m maps,
 
         M_j M_j^T = C_j C_j^T,   W_j = C_j^{-1} M_j,   S = sum_j w_j W_j^T W_j,
         F = sum_j w_j 2 sum log diag C_j - 2 log|det T|,
 
-    where S = T^T P T for the pre-inversion sum P at X, and the m triangular
-    solves are one solve against the block diagonal of the C_j. Each L_j is
-    first divided by 2^e_j, e_j the binary exponent of its largest entry. That
-    is exact and leaves P unchanged, so no pushforward can overflow or
-    underflow; F moves by 2 ln2 d' sum_j w_j e_j, which is added back.
-    `step_len` is the Thompson length of the step that reached the iterate.
+    where S = T^T P T for the pre-inversion sum P at X, each W_j has orthonormal
+    rows, and the m triangular solves are one solve against the block diagonal
+    of the C_j. Each L_j is first divided by 2^e_j, e_j the binary exponent of
+    its largest entry. That is exact and leaves P and the W_j unchanged, so no
+    pushforward can overflow or underflow; F moves by 2 ln2 d' sum_j w_j e_j,
+    which is added back. `step_len` is the Thompson length of the step that
+    reached the iterate.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -170,12 +171,13 @@ class _Whitened:
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
 
     def evaluate(self) -> "_Whitened":
-        """Set value (F), s (S) and gradient (T^{-T} (S - I) T^{-1}, the one of F)."""
+        """Set value (F), w (W_j stacked), s (S) and gradient (T^{-T} (S - I) T^{-1})."""
         m = self.maps @ self.t
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
         self.blocks[self.block_idx] = c.ravel()
-        w = np.sqrt(self.row_w)[:, None] * dtrtrs(self.blocks, m, lower=1)[0]
+        self.w = dtrtrs(self.blocks, m, lower=1)[0]
+        w = np.sqrt(self.row_w)[:, None] * self.w
         self.s = w.T @ w
         g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
         self.gradient = 0.5 * (g + g.T)
@@ -187,7 +189,7 @@ class _Whitened:
         return np.linalg.eigvalsh(self.t @ self.t.T)
 
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
-        """The evaluated image of this iterate under the solver's map.
+        """The image of this evaluated iterate under the solver's map.
 
         Here G(X) = S^{-1} and G_mu(X) = (S + mu T^T T)^{-1}; with that matrix
         factored as R R^T, the next T is T R^{-T}. The Thompson metric is
@@ -205,7 +207,29 @@ class _Whitened:
             nxt.t, nxt.t_inv = nxt.t * math.exp(-0.5 * shift), nxt.t_inv * math.exp(0.5 * shift)
             nxt.log_det_t -= 0.5 * len(s) * shift
         nxt.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
-        return nxt.evaluate()
+        return nxt
+
+    def descend(self, lam: np.ndarray, vecs: np.ndarray, eta: float) -> "_Whitened":
+        """RGD's step Exp_X(-eta xi) from this evaluated iterate, where
+        T^{-1} xi T^{-T} = S - I = V Lam V^T: T <- T V exp(-eta Lam / 2), a step
+        of Thompson length eta max |Lam|."""
+        nxt, half = copy.copy(self), np.exp(-0.5 * eta * lam)
+        nxt.t, nxt.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
+        nxt.log_det_t = self.log_det_t - 0.5 * eta * float(np.sum(lam))
+        nxt.step_len = eta * float(np.max(np.abs(lam)))
+        return nxt
+
+    def decrease(self, lam: np.ndarray, vecs: np.ndarray, eta: float) -> float:
+        """F at `descend(lam, vecs, eta)` minus F here, without evaluating it.
+
+        That iterate is T E T^T with E = expm(-eta (S - I)) = I + D; its
+        pushforwards are C_j (I + W_j D W_j^T) C_j^T and det E = exp(-eta tr Lam),
+        so no term cancels against F itself.
+        """
+        d = (vecs * np.expm1(-eta * lam)) @ vecs.T
+        w = self.w.reshape(self.shape)
+        eigs = np.linalg.eigvalsh(w @ d @ w.transpose(0, 2, 1))
+        return float(self.row_w @ np.log1p(eigs).ravel()) + eta * float(np.sum(lam))
 
 
 def _map_step(datum: BLDatum, x: SpdMatrix, solver: str, mu: float = 0.0) -> SpdMatrix:
@@ -275,52 +299,46 @@ def _steps_growing(steps: list) -> bool:
     return len(tail) >= 2 and tail[-1] > tail[0]
 
 
-def _drive(datum: BLDatum, x, trace: IterTrace, step, check, max_iter: int,
+def _drive(x: _Whitened, trace: IterTrace, step, check, max_iter: int,
            residual: str) -> tuple[SolveResult, IterTrace]:
     """The solver loop: evaluate each iterate once, check it, record it, step.
 
-    An iterate is an SpdMatrix (RGD), evaluated by eval_F and measured by
-    thompson, or a `_Whitened` one (the fixed-point maps), which evaluates
-    itself and carries the length of the step that reached it.
-    `check(k, x, ev, step_len, eigs)` returns the trace row's F_mu and
-    grad_norm plus a stop status, or None as status to go on. `step(k, x, ev)`
-    returns the next iterate with its evaluation (None to have it evaluated
-    here), or None when it cannot move, which ends the run as MaxIter. The one
+    `step(k, x)` returns the next iterate, not yet evaluated, carrying the
+    length of the step that reached it. `check(k, x, eigs)`, given the
+    evaluated iterate and its ascending eigenvalues, returns the trace row's
+    F_mu and grad_norm plus a stop status, or None as status to go on. The one
     evaluation of an iterate feeds its check, its row, the step from it and,
     for the last iterate, the result; `residual` names the row column that the
-    result reports as its residual.
+    result reports as its residual. A failed Cholesky ends the run as a
+    CholeskyFailure and a FloatingPointError (under a caller's np.errstate) as
+    a StepFailure, both with the iteration index.
     """
-    whitened = isinstance(x, _Whitened)
     t0 = time.perf_counter_ns()
-    k, step_len, ev, status = 0, math.nan, None, None
+    k, status = 0, None
     while True:
         try:
             if k:
-                moved = step(k, x, ev)
-                if moved is None:
-                    break
-                x_next, ev = moved
-                step_len = x_next.step_len if whitened else thompson(x_next, x)
-                x = x_next
-            if ev is None:
-                ev = x.evaluate() if whitened else eval_F(datum, x)
+                x = step(k, x)
+            x.evaluate()
             eigs = x.eigenvalues()
-            f_mu, grad_norm, status = check(k, x, ev, step_len, eigs)
+            f_mu, grad_norm, status = check(k, x, eigs)
         except CholeskyFailure as exc:
             raise CholeskyFailure(f"iteration {k}: {exc}") from exc
-        trace.record(k, ev.value, f_mu, grad_norm, step_len, eigs, t0)
+        except FloatingPointError as exc:
+            raise StepFailure(f"iteration {k}: {exc}") from exc
+        trace.record(k, x.value, f_mu, grad_norm, x.step_len, eigs, t0)
         if status is not None or k >= max_iter:
             break
         k += 1
     status = status or MAX_ITER
     result = SolveResult(
-        X_star=SpdMatrix(x.t @ x.t.T) if whitened else x,
-        bl_constant=bl_constant_from_F(ev.value),
-        F_value=ev.value,
+        X_star=SpdMatrix(x.t @ x.t.T),
+        bl_constant=bl_constant_from_F(x.value),
+        F_value=x.value,
         iterations=len(trace.rows) - 1,
         converged=status == CONVERGED,
         residual=getattr(trace.rows[-1], residual),
-        grad_norm=sym_op_norm(ev.gradient),
+        grad_norm=sym_op_norm(x.gradient),
         status=status,
     )
     return result, trace
@@ -355,10 +373,10 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
         trace.mu_events.append((0, mu))
     adaptive = config.solver == "regularized" and config.mu_override is None
 
-    def check(k, x, ev, step_len, eigs):
+    def check(k, x, eigs):
         nonlocal mu, r_seen, r_base
-        f_mu = ev.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
-        grad_norm = sym_op_norm(ev.gradient if mu == 0.0 else ev.gradient + mu * np.eye(datum.d))
+        f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
+        grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
         lo, hi = float(eigs[0]), float(eigs[-1])
         if adaptive:
             r_seen = max(r_seen, hi)
@@ -368,14 +386,12 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
                 trace.mu_events.append((k, mu))
         if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
             return f_mu, grad_norm, INFEASIBILITY_SUSPECTED
-        return f_mu, grad_norm, CONVERGED if step_len <= config.tol else None
+        return f_mu, grad_norm, CONVERGED if x.step_len <= config.tol else None
 
-    def step(k, x, ev):
-        moved = x.advance(config.solver, mu)
-        return moved, moved
+    def step(k, x):
+        return x.advance(config.solver, mu)
 
-    result, trace = _drive(datum, _Whitened(datum, x), trace, step, check, config.max_iter,
-                           "thompson_step")
+    result, trace = _drive(_Whitened(datum, x), trace, step, check, config.max_iter, "thompson_step")
     if result.status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
         result.status = INFEASIBILITY_SUSPECTED
     return result, trace

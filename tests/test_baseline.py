@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
-from blfix.datum import gen_holder, gen_random, gen_young
-from blfix.errors import InvalidArgument
+from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
+from blfix.errors import InvalidArgument, StepFailure
 from blfix.matcore import SpdMatrix
 from blfix.solve import CONVERGED, SolveConfig, solve_fixed_point
 
@@ -105,7 +106,7 @@ class TestSolveRgd:
     def test_monotone_descent_random(self):
         res, trace = solve_rgd(gen_random(6, 3, 4, 1), RgdConfig(max_iter=5000))
         fs = trace.column("F")
-        # noise-floor acceptance can move F by the roundoff of its terms
+        # the Armijo test is exact; the recorded F carries the roundoff of its terms
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(fs, fs[1:]))
 
     def test_agreement_with_fixed_point(self):
@@ -120,3 +121,17 @@ class TestSolveRgd:
         res, trace = solve_rgd(gen_young(), RgdConfig())
         assert trace.rows[-1].grad_norm <= 1e-8
         assert trace.rows[-1].grad_norm == pytest.approx(res.residual)
+
+    def test_no_stall_at_the_noise_floor(self):
+        # the decrease is computed exactly, so the line search still succeeds
+        # when it is far below the roundoff of F
+        res, _ = solve_rgd(gen_random(6, 4, 5, seed=10), RgdConfig())
+        assert res.status == CONVERGED
+
+    def test_infeasible_datum_fails_with_iteration(self):
+        # F is unbounded below, so the factor grows until it overflows
+        datum = BLDatum.from_maps([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match=r"^iteration \d+: "):
+                solve_rgd(datum, RgdConfig())

@@ -165,7 +165,7 @@ class TestSolve:
         assert result["bl_constant"] == math.inf
         assert result["F_value"] == pytest.approx(-800.0 * math.log(10.0), rel=1e-12)
 
-    @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde"])
+    @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde", "rgd"])
     @pytest.mark.parametrize("c", [1e-200, 1e160], ids=["1e-200", "1e160"])
     def test_scaled_young(self, capsys, tmp_path, solver, c):
         # L_j -> c L_j adds 4 ln c to Young's F; the pushforwards alone
@@ -180,6 +180,14 @@ class TestSolve:
         assert code == 0 and captured.err == ""
         f = json.loads(captured.out)["result"]["F_value"]
         assert abs(f - (math.log(4 / 3) + 4 * math.log(c))) <= 1e-9
+
+    def test_rgd_on_infeasible_datum_fails_cleanly(self, capsys, tmp_path):
+        path = str(tmp_path / "infeasible.json")
+        save_datum(BLDatum.from_maps([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = assert_error_exit(capsys, "solve", path, "--solver", "rgd")
+        assert err.startswith("blfix: error: iteration ") and err.count("\n") == 1
 
 
 class TestCheck:

@@ -15,7 +15,6 @@ from blfix.matcore import (
     SpdMatrix,
     load_matrix,
     log_det,
-    matrix_exp_sym,
     matrix_from_json_obj,
     max_gen_eig,
     save_matrix,
@@ -148,29 +147,6 @@ class TestMaxGenEig:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             max_gen_eig(SpdMatrix.identity(2), SpdMatrix.identity(3))
-
-
-class TestMatrixExp:
-    def test_zero(self):
-        assert np.allclose(matrix_exp_sym(np.zeros((2, 2))), np.eye(2))
-
-    def test_diagonal(self):
-        e = matrix_exp_sym(np.diag([math.log(2.0), math.log(3.0)]))
-        assert np.allclose(e, np.diag([2.0, 3.0]))
-
-    @pytest.mark.parametrize("t", [0.3, -1.2, 2.0])
-    def test_closed_form_two_by_two(self, t):
-        e = matrix_exp_sym(np.array([[0.0, t], [t, 0.0]]))
-        expect = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
-        assert np.allclose(e, expect, atol=1e-12)
-
-    def test_eigenvalue_map(self):
-        rng = np.random.default_rng(4)
-        for i in range(40):
-            s = rand_sym(rng, 2 + i % 5)
-            got = np.sort(np.linalg.eigvalsh(matrix_exp_sym(s)))
-            expect = np.sort(np.exp(np.linalg.eigvalsh(s)))
-            assert np.allclose(got, expect, rtol=1e-9, atol=1e-9)
 
 
 class TestOpNorm:

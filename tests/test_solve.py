@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blfix.baseline
 import blfix.objective
 import blfix.solve
-from blfix.baseline import RgdConfig, solve_rgd
+from blfix.baseline import RgdConfig, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_young
 from blfix.errors import InvalidArgument, ValidationFailed
-from blfix.matcore import SpdMatrix, sym_op_norm
+from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
     CONVERGED,
@@ -145,11 +146,41 @@ class TestWhitenedKernel:
         datum, x = self.point(i)
         frame = _Whitened(datum, x).evaluate()
         for _ in range(4):
-            ev = eval_F(datum, SpdMatrix(frame.t @ frame.t.T))
+            at = SpdMatrix(frame.t @ frame.t.T)
+            ev = eval_F(datum, at)
             assert abs(frame.value - ev.value) <= 1e-12 * max(1.0, abs(ev.value))
-            scale = max(np.abs(ev.pre_sum).max(), 1.0)
+            scale = max(np.abs(pre_inversion_sum(datum, at)).max(), 1.0)
             assert np.abs(frame.gradient - ev.gradient).max() <= 1e-12 * scale
-            frame = frame.advance("plain_g")
+            frame = frame.advance("plain_g").evaluate()
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_rgd_decrease_is_exact(self, i):
+        datum, x = self.point(i)
+        frame = _Whitened(datum, x).evaluate()
+        lam, vecs = sym_eig(frame.s - np.eye(datum.d))
+        f = eval_F(datum, x).value
+        for eta in (1e-1, 1e-3):
+            t = frame.descend(lam, vecs, eta).t
+            want = eval_F(datum, SpdMatrix(t @ t.T)).value - f
+            assert abs(frame.decrease(lam, vecs, eta) - want) <= 1e-12 * max(1.0, abs(f))
+
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_rgd_step_is_exponential_map(self, i):
+        # Exp_X(-eta xi) = X^{1/2} expm(-eta X^{-1/2} xi X^{-1/2}) X^{1/2}
+        datum, x = self.point(i)
+        frame = _Whitened(datum, x).evaluate()
+        lam, vecs = sym_eig(frame.s - np.eye(datum.d))
+        xi = riem_grad(datum, x)
+        rnorm = riem_grad_norm(x, xi)  # RGD's residual is |S - I|_F
+        assert abs(np.linalg.norm(frame.s - np.eye(datum.d)) - rnorm) <= 1e-12 * max(1.0, rnorm)
+        vals, v = np.linalg.eigh(x.a)
+        root, inv_root = (v * np.sqrt(vals)) @ v.T, (v / np.sqrt(vals)) @ v.T
+        for eta in (1e-1, 1e-3):
+            moved = frame.descend(lam, vecs, eta)
+            got = moved.t @ moved.t.T
+            want = root @ scipy.linalg.expm(-eta * inv_root @ xi @ inv_root) @ root
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert abs(moved.step_len - thompson(SpdMatrix(got), x)) <= 1e-12
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_start_point_does_not_change_the_constant(self, i):
@@ -544,8 +575,8 @@ def test_geometric_decay_small():
 
 
 class TestOneEvaluationPerIterate:
-    """Every solver evaluates each iterate once: the fixed-point solvers in the
-    whitened kernel, RGD in eval_F."""
+    """Every solver evaluates each iterate once, in the whitened kernel, and
+    never calls the reference evaluation."""
 
     @staticmethod
     def count(monkeypatch, name: str, *modules) -> list:
@@ -561,26 +592,20 @@ class TestOneEvaluationPerIterate:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
     @pytest.mark.parametrize("datum", [gen_young(), feasible_datum(3)], ids=["young", "random"])
-    def test_fixed_point(self, monkeypatch, solver, datum):
+    def test_solver(self, monkeypatch, solver, datum):
         evals = self.count(monkeypatch, "evaluate", _Whitened)
-        pushforwards = self.count(monkeypatch, "pushforwards", blfix.objective)
-        sums = self.count(monkeypatch, "pre_inversion_sum", blfix.objective, blfix.solve)
-        tol = 1e-6 if solver == "regularized" else 1e-10
-        result, _ = solve_fixed_point(datum, SolveConfig(solver=solver, tol=tol))
+        references = [
+            self.count(monkeypatch, "eval_F", blfix.objective, blfix.baseline),
+            self.count(monkeypatch, "pushforwards", blfix.objective, blfix.baseline),
+            self.count(monkeypatch, "pre_inversion_sum", blfix.objective, blfix.solve),
+        ]
+        if solver == "rgd":
+            result, _ = solve_rgd(datum, RgdConfig())
+        else:
+            tol = 1e-6 if solver == "regularized" else 1e-10
+            result, _ = solve_fixed_point(datum, SolveConfig(solver=solver, tol=tol))
         assert result.iterations > 1
         assert evals[0] == result.iterations + 1
-        assert pushforwards[0] == 0 and sums[0] == 0
-
-    def test_rgd(self, monkeypatch):
-        # eval_F computes the start point's pushforwards; each line-search
-        # trial computes its own through the baseline module and hands them on
-        start = self.count(monkeypatch, "pushforwards", blfix.objective)
-        trials = self.count(monkeypatch, "pushforwards", blfix.baseline)
-        evals = self.count(monkeypatch, "eval_F", blfix.solve, blfix.baseline)
-        result, _ = solve_rgd(feasible_datum(3), RgdConfig(max_iter=200))
-        assert result.iterations > 1
-        assert start[0] == 1
-        assert trials[0] >= result.iterations
-        assert evals[0] == trials[0] + 1
+        assert [calls[0] for calls in references] == [0, 0, 0]
