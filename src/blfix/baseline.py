@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .datum import BLDatum, validate
-from .errors import InvalidArgument, StepFailure, ValidationFailed
+from .datum import BLDatum
+from .errors import InvalidArgument, StepFailure
 from .matcore import SpdMatrix, sym_eig
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
 from .solve import CONVERGED, IterTrace, SolveResult, _check_budget, _drive, _Whitened
@@ -63,14 +63,13 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
 
     The Armijo test of each step uses the kernel's exact decrease, so it stays
     meaningful down to the stopping tolerance and no rejected trial is evaluated.
-    A line search whose step underflows raises StepFailure, as does an iterate
-    that overflows (F is unbounded below on infeasible data); both carry the
-    iteration index. In the SolveResult, residual is the final Riemannian
-    gradient norm and grad_norm the Euclidean one.
+    Raises ValidationFailed unless the datum passes the hard checks, with the
+    fixed-point solvers' message. A line search whose step underflows raises
+    StepFailure, as does an iterate that overflows (F is unbounded below on
+    infeasible data); both carry the iteration index. In the SolveResult,
+    residual is the final Riemannian gradient norm and grad_norm the Euclidean
+    one.
     """
-    report = validate(datum, subspace_checks=False)
-    if not report.accepted:
-        raise ValidationFailed("datum rejected by hard validation checks")
     eta_prev = STEP_SIZE
 
     def check(k, x, eigs):
@@ -89,6 +88,6 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
         eta_prev = eta
         return x.descend(lam, vecs, eta)
 
-    with np.errstate(over="raise", invalid="raise"):  # an overflowing iterate ends the run
-        return _drive(_Whitened(datum, SpdMatrix.identity(datum.d)), IterTrace(), step, check,
-                      config.max_iter, "grad_norm")
+    # an overflowing iterate ends the run
+    return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
+                  config.max_iter, over="raise", invalid="raise")

@@ -80,7 +80,7 @@ def _result_obj(result: SolveResult) -> dict:
 def _run_solver(datum: BLDatum, name: str, args) -> tuple[SolveResult, IterTrace, dict]:
     """Run one solver by CLI name; returns (result, trace, config echo)."""
     if name == "rgd":
-        tol = args.tol if args.tol is not None else 1e-8
+        tol = args.tol if args.tol is not None else RgdConfig.tol_grad
         cfg = RgdConfig(tol_grad=tol, max_iter=args.max_iter)
         result, trace = solve_rgd(datum, cfg)
         echo = {"solver": "rgd", "tol_grad": tol, "max_iter": args.max_iter}
@@ -92,7 +92,7 @@ def _run_solver(datum: BLDatum, name: str, args) -> tuple[SolveResult, IterTrace
         # the regularized step length plateaus near mu*lambda_max, well below eps
         tol = args.eps
     else:
-        tol = 1e-10
+        tol = SolveConfig.tol
     x0 = None
     x0_echo = "identity"
     if getattr(args, "x0", None) not in (None, "identity"):
@@ -181,10 +181,9 @@ def cmd_metric(args) -> int:
     return 0
 
 
-def _iterations_to_tol(name: str, trace: IterTrace, tol: float):
-    column = "grad_norm" if name == "rgd" else "thompson_step"
+def _iterations_to_tol(trace: IterTrace, tol: float):
     for row in trace.rows:
-        v = getattr(row, column)
+        v = getattr(row, trace.residual)
         if not math.isnan(v) and v <= tol:
             return row.iter
     return None
@@ -206,9 +205,6 @@ def cmd_bench(args) -> int:
         if name not in _SOLVER_NAMES:
             raise BlfixError(f"unknown solver {name!r}; choose from {sorted(_SOLVER_NAMES)}")
 
-    if args.tol is None:
-        args.tol = 1e-8
-
     def run(name: str):
         t0 = time.perf_counter()
         result, trace, _ = _run_solver(datum, name, args)
@@ -222,7 +218,7 @@ def cmd_bench(args) -> int:
     worst = 0
     for name, result, trace, wall in runs:
         trace.write_csv(os.path.join(args.out_dir, f"{name}.csv"))
-        to_tol = _iterations_to_tol(name, trace, args.tol)
+        to_tol = _iterations_to_tol(trace, args.tol)
         solvers_obj[name] = {
             "iterations": result.iterations,
             "iterations_to_tol": to_tol,
@@ -292,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--m", type=int, default=None)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--solvers", default="gmu,rgd", help="comma list from g,gmu,gtilde,rgd")
-    pb.add_argument("--tol", type=float, default=None,
+    pb.add_argument("--tol", type=float, default=1e-8,
                     help="iterations-to-tol threshold and stopping tolerance (default 1e-8)")
     pb.add_argument("--max-iter", type=int, default=20000)
     pb.add_argument("--eps", type=float, default=1e-9)

@@ -108,14 +108,17 @@ class IterTrace:
 
     `grad_norm` is the operator norm of the gradient of the objective actually
     iterated (regularized when mu > 0). `mu_events` records (iteration, mu)
-    whenever the regularization parameter is set or re-derived.
+    whenever the regularization parameter is set or re-derived. `residual`
+    names the column the solver stops on, which its result reports as the
+    residual: "thompson_step" for the fixed-point maps, "grad_norm" for RGD.
     """
 
     HEADER = ("iter", "F", "F_mu", "grad_norm", "thompson_step", "min_eig", "max_eig", "time_ns")
 
-    def __init__(self):
+    def __init__(self, residual: str = "thompson_step"):
         self.rows: list[TraceRow] = []
         self.mu_events: list[tuple[int, float]] = []
+        self.residual = residual
 
     def record(self, k: int, f: float, f_mu: float, grad_norm: float, step_len: float,
                eigs: np.ndarray, t0: int) -> None:
@@ -299,49 +302,61 @@ def _steps_growing(steps: list) -> bool:
     return len(tail) >= 2 and tail[-1] > tail[0]
 
 
-def _drive(x: _Whitened, trace: IterTrace, step, check, max_iter: int,
-           residual: str) -> tuple[SolveResult, IterTrace]:
-    """The solver loop: evaluate each iterate once, check it, record it, step.
+def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check, max_iter: int,
+           **errstate) -> tuple[SolveResult, IterTrace]:
+    """The solver loop: gate the datum, then evaluate each iterate from x0
+    once, check it, record it, step.
 
-    `step(k, x)` returns the next iterate, not yet evaluated, carrying the
-    length of the step that reached it. `check(k, x, eigs)`, given the
-    evaluated iterate and its ascending eigenvalues, returns the trace row's
-    F_mu and grad_norm plus a stop status, or None as status to go on. The one
-    evaluation of an iterate feeds its check, its row, the step from it and,
-    for the last iterate, the result; `residual` names the row column that the
-    result reports as its residual. A failed Cholesky ends the run as a
-    CholeskyFailure and a FloatingPointError (under a caller's np.errstate) as
-    a StepFailure, both with the iteration index.
+    The gate raises ValidationFailed, naming every hard check, unless the
+    datum passes them all. `step(k, x)` returns the next iterate, not yet
+    evaluated, carrying the length of the step that reached it.
+    `check(k, x, eigs)`, given the evaluated iterate and its ascending
+    eigenvalues, returns the trace row's F_mu and grad_norm plus a stop status,
+    or None as status to go on. The one evaluation of an iterate feeds its
+    check, its row, the step from it and, for the last iterate, the result,
+    whose residual is the row's `trace.residual` column. Everything after the
+    gate runs under np.errstate(**errstate). A failed Cholesky ends the run as
+    a CholeskyFailure and a FloatingPointError as a StepFailure, both with the
+    iteration index.
     """
-    t0 = time.perf_counter_ns()
-    k, status = 0, None
-    while True:
-        try:
-            if k:
-                x = step(k, x)
-            x.evaluate()
-            eigs = x.eigenvalues()
-            f_mu, grad_norm, status = check(k, x, eigs)
-        except CholeskyFailure as exc:
-            raise CholeskyFailure(f"iteration {k}: {exc}") from exc
-        except FloatingPointError as exc:
-            raise StepFailure(f"iteration {k}: {exc}") from exc
-        trace.record(k, x.value, f_mu, grad_norm, x.step_len, eigs, t0)
-        if status is not None or k >= max_iter:
-            break
-        k += 1
-    status = status or MAX_ITER
-    result = SolveResult(
-        X_star=SpdMatrix(x.t @ x.t.T),
-        bl_constant=bl_constant_from_F(x.value),
-        F_value=x.value,
-        iterations=len(trace.rows) - 1,
-        converged=status == CONVERGED,
-        residual=getattr(trace.rows[-1], residual),
-        grad_norm=sym_op_norm(x.gradient),
-        status=status,
-    )
-    return result, trace
+    report = validate(datum, subspace_checks=False)
+    if not report.accepted:
+        raise ValidationFailed(
+            "datum rejected: "
+            f"rank_ok={report.rank_ok}, scaling_ok={report.scaling_ok} "
+            f"(residual {report.scaling_residual:g}), weight_range_ok={report.weight_range_ok}"
+        )
+    with np.errstate(**errstate):
+        x = _Whitened(datum, x0)
+        t0 = time.perf_counter_ns()
+        k, status = 0, None
+        while True:
+            try:
+                if k:
+                    x = step(k, x)
+                x.evaluate()
+                eigs = x.eigenvalues()
+                f_mu, grad_norm, status = check(k, x, eigs)
+            except CholeskyFailure as exc:
+                raise CholeskyFailure(f"iteration {k}: {exc}") from exc
+            except FloatingPointError as exc:
+                raise StepFailure(f"iteration {k}: {exc}") from exc
+            trace.record(k, x.value, f_mu, grad_norm, x.step_len, eigs, t0)
+            if status is not None or k >= max_iter:
+                break
+            k += 1
+        status = status or MAX_ITER
+        result = SolveResult(
+            X_star=SpdMatrix(x.t @ x.t.T),
+            bl_constant=bl_constant_from_F(x.value),
+            F_value=x.value,
+            iterations=len(trace.rows) - 1,
+            converged=status == CONVERGED,
+            residual=getattr(trace.rows[-1], trace.residual),
+            grad_norm=sym_op_norm(x.gradient),
+            status=status,
+        )
+        return result, trace
 
 
 def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult, IterTrace]:
@@ -353,28 +368,20 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     infeasible data have no finite fixed point, so blowup is the expected
     signature. Numeric failures carry the iteration index.
     """
-    report = validate(datum, subspace_checks=False)
-    if not report.accepted:
-        raise ValidationFailed(
-            "datum rejected: "
-            f"rank_ok={report.rank_ok}, scaling_ok={report.scaling_ok} "
-            f"(residual {report.scaling_residual:g}), weight_range_ok={report.weight_range_ok}"
-        )
-    x = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
-
+    x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
     trace = IterTrace()
     mu = 0.0
     r_seen = r_base = 0.0
-    if config.solver == "regularized":
-        r_seen = r_base = max(1.0, float(x.eigenvalues()[-1]))
-        mu = config.mu_override if config.mu_override is not None else choose_mu(
-            config.epsilon, r_base, datum.d
-        )
-        trace.mu_events.append((0, mu))
     adaptive = config.solver == "regularized" and config.mu_override is None
 
     def check(k, x, eigs):
         nonlocal mu, r_seen, r_base
+        if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
+            r_seen = r_base = max(1.0, float(x0.eigenvalues()[-1]))
+            mu = config.mu_override if config.mu_override is not None else choose_mu(
+                config.epsilon, r_base, datum.d
+            )
+            trace.mu_events.append((0, mu))
         f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
         grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -391,7 +398,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     def step(k, x):
         return x.advance(config.solver, mu)
 
-    result, trace = _drive(_Whitened(datum, x), trace, step, check, config.max_iter, "thompson_step")
+    result, trace = _drive(datum, x0, trace, step, check, config.max_iter)
     if result.status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
         result.status = INFEASIBILITY_SUSPECTED
     return result, trace

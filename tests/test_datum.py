@@ -73,6 +73,17 @@ class TestValidate:
         assert rep.subspace_heuristic_ok is False
         assert any("coordinate" in v for v in rep.sampled_violations)
 
+    def test_violations_are_coordinate_subspaces(self):
+        # a generic subspace satisfies the dimension condition whenever the hard
+        # checks pass, so only coordinate subspaces are tested, also here where
+        # the scaling check fails
+        rep = validate(BLDatum.from_maps([[[1.0, 0.0]]], [0.5]))
+        assert not rep.accepted and rep.subspace_heuristic_ok is False
+        assert rep.sampled_violations == [
+            "coordinate subspace (0,): dim 1 > weighted image dims 0.5",
+            "coordinate subspace (1,): dim 1 > weighted image dims 0",
+        ]
+
     def test_heuristic_skippable(self):
         rep = validate(gen_young(), subspace_checks=False)
         assert rep.subspace_heuristic_ok is None

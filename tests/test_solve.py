@@ -249,9 +249,13 @@ class TestSolveFixedPoint:
         assert np.abs(normalized - YOUNG_TARGET).max() <= 1e-8
 
     def test_rejects_bad_datum(self):
+        # all four solvers pass the one gate in the solver loop, so each names
+        # the failing hard check
         bad = BLDatum.from_maps([np.eye(2)] * 3, [0.5, 0.5, 0.5])
-        with pytest.raises(ValidationFailed):
-            solve_fixed_point(bad, SolveConfig())
+        runs = [functools.partial(solve_fixed_point, bad, SolveConfig(solver=s)) for s in SOLVERS]
+        for run in runs + [functools.partial(solve_rgd, bad, RgdConfig())]:
+            with pytest.raises(ValidationFailed, match=r"scaling_ok=False \(residual 1\)"):
+                run()
 
     def test_x0_used(self):
         res, _ = solve_fixed_point(
