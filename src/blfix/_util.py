@@ -1,10 +1,23 @@
 """Small shared helpers."""
 
 import json
+import math
 import os
 import tempfile
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value is a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgument(f"{name} must be finite and positive")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value is a finite nonnegative number."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidArgument(f"{name} must be finite and nonnegative")
 
 
 def atomic_write_text(path: str, text: str) -> None:

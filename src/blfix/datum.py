@@ -120,7 +120,7 @@ def _subspace_violation(datum: BLDatum, basis: np.ndarray, label: str):
     """Check dim(H) <= sum_j w_j dim(L_j H) for H spanned by the basis columns."""
     k = basis.shape[1]
     rhs = 0.0
-    for L, w in zip(datum.maps, datum.weights):
+    for L, w in zip(datum.maps, datum.weights.tolist()):  # Python floats overflow to inf silently
         rhs += w * _matrix_rank(L @ basis)
     if k > rhs + _SUBSPACE_SLACK:
         return f"{label}: dim {k} > weighted image dims {rhs:.6g}"
@@ -142,7 +142,8 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     """
     rank_ok = [_matrix_rank(L) == datum.dprime for L in datum.maps]
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
-    residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
+    with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
+        residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
     scaling_ok = residual <= SCALING_TOL
 
     if not subspace_checks:

@@ -42,4 +42,4 @@ class ValidationFailed(BlfixError):
 
 
 class StepFailure(BlfixError):
-    """Backtracking line search underflowed."""
+    """An iterate overflowed or hit an invalid operation; the message names the iteration."""

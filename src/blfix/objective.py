@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_nonnegative
 from .datum import BLDatum
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import DimensionMismatch
 from .matcore import SpdMatrix, log_det, spd_inverse, spd_solve
 
 
@@ -67,8 +68,7 @@ def eval_F(datum: BLDatum, x: SpdMatrix) -> ObjectiveEval:
 
 def eval_F_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> ObjectiveEval:
     """Evaluate the trace-regularized objective F(x) + mu * trace(x)."""
-    if mu < 0.0:
-        raise InvalidArgument("mu must be nonnegative")
+    check_nonnegative("mu", mu)
     base = eval_F(datum, x)
     if mu == 0.0:
         return base

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
 from .datum import BLDatum, validate
 from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, StepFailure, ValidationFailed
@@ -47,16 +47,10 @@ SOLVERS = ("plain_g", "regularized", "normalized")
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
 
 
-def _check_positive(name: str, value: float) -> None:
-    """Raise InvalidArgument unless value is a finite positive number."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidArgument(f"{name} must be finite and positive")
-
-
 def _check_budget(tol_name: str, tol: float, max_iter: int) -> None:
     """The stopping rule every solver config shares: a finite positive tolerance
     and at least one iteration."""
-    _check_positive(tol_name, tol)
+    check_positive(tol_name, tol)
     if max_iter < 1:
         raise InvalidArgument("max_iter must be at least 1")
 
@@ -73,9 +67,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidArgument(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        _check_positive("epsilon", self.epsilon)  # first: the CLI derives gmu's tol from it
+        check_positive("epsilon", self.epsilon)  # first: the CLI derives gmu's tol from it
         if self.mu_override is not None:
-            _check_positive("mu_override", self.mu_override)
+            check_positive("mu_override", self.mu_override)
         _check_budget("tol", self.tol, self.max_iter)
 
 
@@ -174,13 +168,12 @@ class _Whitened:
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
 
     def evaluate(self) -> "_Whitened":
-        """Set value (F), w (W_j stacked), s (S) and gradient (T^{-T} (S - I) T^{-1})."""
+        """Set value (F), s (S) and gradient (T^{-T} (S - I) T^{-1})."""
         m = self.maps @ self.t
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
         self.blocks[self.block_idx] = c.ravel()
-        self.w = dtrtrs(self.blocks, m, lower=1)[0]
-        w = np.sqrt(self.row_w)[:, None] * self.w
+        w = np.sqrt(self.row_w)[:, None] * dtrtrs(self.blocks, m, lower=1)[0]
         self.s = w.T @ w
         g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
         self.gradient = 0.5 * (g + g.T)
@@ -222,18 +215,6 @@ class _Whitened:
         nxt.step_len = eta * float(np.max(np.abs(lam)))
         return nxt
 
-    def decrease(self, lam: np.ndarray, vecs: np.ndarray, eta: float) -> float:
-        """F at `descend(lam, vecs, eta)` minus F here, without evaluating it.
-
-        That iterate is T E T^T with E = expm(-eta (S - I)) = I + D; its
-        pushforwards are C_j (I + W_j D W_j^T) C_j^T and det E = exp(-eta tr Lam),
-        so no term cancels against F itself.
-        """
-        d = (vecs * np.expm1(-eta * lam)) @ vecs.T
-        w = self.w.reshape(self.shape)
-        eigs = np.linalg.eigvalsh(w @ d @ w.transpose(0, 2, 1))
-        return float(self.row_w @ np.log1p(eigs).ravel()) + eta * float(np.sum(lam))
-
 
 def _map_step(datum: BLDatum, x: SpdMatrix, solver: str, mu: float = 0.0) -> SpdMatrix:
     """The solver's map of x, by one kernel step."""
@@ -248,8 +229,7 @@ def step_G(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
 
 def step_G_mu(datum: BLDatum, x: SpdMatrix, mu: float) -> SpdMatrix:
     """One regularized step; eigenvalues of the result lie strictly below 1/mu."""
-    if mu <= 0.0:
-        raise InvalidArgument("mu must be positive")
+    check_positive("mu", mu)
     return _map_step(datum, x, "regularized", mu)
 
 
@@ -269,10 +249,8 @@ def choose_mu(epsilon: float, r_est: float, d: int) -> float:
     smaller mu so the trace term cannot perturb the value by more than the
     accuracy target.
     """
-    if epsilon <= 0.0:
-        raise InvalidArgument("epsilon must be positive")
-    if r_est <= 0.0:
-        raise InvalidArgument("r_est must be positive")
+    check_positive("epsilon", epsilon)
+    check_positive("r_est", r_est)
     if d < 1:
         raise InvalidArgument("d must be a positive integer")
     if d <= epsilon / 4.0:
@@ -289,8 +267,7 @@ def contraction_diagnostic(
     (lhs, bound); non-expansivity corresponds to mu = 0 where the bound is
     d(x, y) itself.
     """
-    if mu < 0.0:
-        raise InvalidArgument("mu must be nonnegative")
+    check_nonnegative("mu", mu)
     gamma = max(sym_op_norm(pre_inversion_sum(datum, p)) for p in (x, y))
     lhs = thompson(_map_step(datum, x, "regularized", mu), _map_step(datum, y, "regularized", mu))
     bound = gamma / (gamma + mu) * thompson(x, y)

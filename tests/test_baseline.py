@@ -106,7 +106,7 @@ class TestSolveRgd:
     def test_monotone_descent_random(self):
         res, trace = solve_rgd(gen_random(6, 3, 4, 1), RgdConfig(max_iter=5000))
         fs = trace.column("F")
-        # the Armijo test is exact; the recorded F carries the roundoff of its terms
+        # every step provably lowers F; the recorded F carries the roundoff of its terms
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(fs, fs[1:]))
 
     def test_agreement_with_fixed_point(self):
@@ -123,8 +123,8 @@ class TestSolveRgd:
         assert trace.rows[-1].grad_norm == pytest.approx(res.residual)
 
     def test_no_stall_at_the_noise_floor(self):
-        # the decrease is computed exactly, so the line search still succeeds
-        # when it is far below the roundoff of F
+        # the fixed step lowers F even where the decrease is far below the
+        # roundoff of F, so the descent does not stall there
         res, _ = solve_rgd(gen_random(6, 4, 5, seed=10), RgdConfig())
         assert res.status == CONVERGED
 

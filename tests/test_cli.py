@@ -189,6 +189,23 @@ class TestSolve:
             err = assert_error_exit(capsys, "solve", path, "--solver", "rgd")
         assert err.startswith("blfix: error: iteration ") and err.count("\n") == 1
 
+    def test_huge_weights_fail_validation_without_warnings(self, capsys, tmp_path):
+        path = _huge_weights_path(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("blfix: validation failed: ")
+        assert captured.err.count("\n") == 1
+
+
+def _huge_weights_path(tmp_path) -> str:
+    """A datum whose weights, and their products with ranks, overflow when summed."""
+    path = str(tmp_path / "huge.json")
+    save_datum(BLDatum.from_maps([[[1.0, 1.0]], [[1.0, -1.0]]], [1e308, 1e308]), path)
+    return path
+
 
 class TestCheck:
     def test_young_report(self, capsys, young_path):
@@ -205,6 +222,16 @@ class TestCheck:
         code, out = run_cli(capsys, "check", path)
         assert code == 1
         assert json.loads(out)["report"]["scaling_ok"] is False
+
+    def test_huge_weights_report_without_warnings(self, capsys, tmp_path):
+        path = _huge_weights_path(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        report = json.loads(captured.out)["report"]
+        assert report["scaling_residual"] == math.inf and report["accepted"] is False
 
 
 class TestMetric:

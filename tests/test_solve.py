@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import blfix.baseline
 import blfix.objective
 import blfix.solve
-from blfix.baseline import RgdConfig, riem_grad, riem_grad_norm, solve_rgd
+from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
-from blfix.datum import BLDatum, gen_holder, gen_young
+from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
 from blfix.errors import InvalidArgument, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
@@ -153,16 +153,22 @@ class TestWhitenedKernel:
             assert np.abs(frame.gradient - ev.gradient).max() <= 1e-12 * scale
             frame = frame.advance("plain_g").evaluate()
 
-    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
-    def test_rgd_decrease_is_exact(self, i):
-        datum, x = self.point(i)
-        frame = _Whitened(datum, x).evaluate()
-        lam, vecs = sym_eig(frame.s - np.eye(datum.d))
-        f = eval_F(datum, x).value
-        for eta in (1e-1, 1e-3):
-            t = frame.descend(lam, vecs, eta).t
-            want = eval_F(datum, SpdMatrix(t @ t.T)).value - f
-            assert abs(frame.decrease(lam, vecs, eta) - want) <= 1e-12 * max(1.0, abs(f))
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES) + 2))
+    def test_rgd_step_certificate(self, i):
+        # solve_rgd's bound: a step of 0.1 lowers F by at least 1e-4 * 0.1 * |S - I|_F^2,
+        # with every eigenvalue of S - I in [-1, d/d' - 1]; beyond the feasible shapes,
+        # d/d' = 25, and a common kernel, where the eigenvalues reach both ends
+        if i < len(FEASIBLE_SHAPES):
+            datum = feasible_datum(i)
+        elif i == len(FEASIBLE_SHAPES):
+            datum = gen_random(25, 1, 30, 0)
+        else:
+            datum = BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)
+        for x in (SpdMatrix.identity(datum.d), rand_spd(np.random.default_rng(100 + i), datum.d)):
+            lam = sym_eig(_Whitened(datum, x).evaluate().s - np.eye(datum.d))[0]
+            assert -1.0 - 1e-12 <= lam[0] and lam[-1] <= datum.d / datum.dprime - 1.0 + 1e-12
+            change = eval_F(datum, rgd_step(datum, x, 0.1)).value - eval_F(datum, x).value
+            assert change <= -1e-4 * 0.1 * float(lam @ lam)
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_rgd_step_is_exponential_map(self, i):
@@ -312,6 +318,26 @@ class TestSolveConfig:
     def test_rejects(self, field, value):
         with pytest.raises(InvalidArgument, match=field):
             SolveConfig(**{field: value})
+
+
+_YOUNG, _I2 = gen_young(), SpdMatrix.identity(2)
+SCALAR_ARGUMENTS = [  # (argument, call with that argument set to v)
+    pytest.param("epsilon", lambda v: choose_mu(v, 1.0, 2), id="choose_mu-epsilon"),
+    pytest.param("r_est", lambda v: choose_mu(1e-6, v, 2), id="choose_mu-r_est"),
+    pytest.param("mu", lambda v: step_G_mu(_YOUNG, _I2, v), id="step_G_mu-mu"),
+    pytest.param("mu", lambda v: eval_F_mu(_YOUNG, _I2, v), id="eval_F_mu-mu"),
+    pytest.param("mu", lambda v: contraction_diagnostic(_YOUNG, _I2, YOUNG_XSTAR, v),
+                 id="contraction_diagnostic-mu"),
+    pytest.param("eta", lambda v: rgd_step(_YOUNG, _I2, v), id="rgd_step-eta"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name, call", SCALAR_ARGUMENTS)
+def test_non_finite_scalar_argument_rejected(name, call, value):
+    with pytest.raises(InvalidArgument, match=rf"^{name} must be finite"):
+        call(value)
 
 
 # --- symmetries of the constant ---------------------------------------------------
