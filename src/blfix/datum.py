@@ -25,6 +25,7 @@ RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
 SCALING_TOL = 1e-10
 _SUBSPACE_SLACK = 1e-9
 _COORD_SUBSPACE_CAP = 20000  # per dimension; sampled beyond this
+_CHUNK_FLOATS = 1 << 20  # matrix entries per stacked LAPACK call; bounds the memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +110,11 @@ class ValidationReport:
         }
 
 
-def _matrix_rank(a: np.ndarray) -> int:
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
-
-
-def _subspace_violation(datum: BLDatum, basis: np.ndarray, label: str):
-    """Check dim(H) <= sum_j w_j dim(L_j H) for H spanned by the basis columns."""
-    k = basis.shape[1]
-    rhs = 0.0
-    for L, w in zip(datum.maps, datum.weights.tolist()):  # Python floats overflow to inf silently
-        rhs += w * _matrix_rank(L @ basis)
-    if k > rhs + _SUBSPACE_SLACK:
-        return f"{label}: dim {k} > weighted image dims {rhs:.6g}"
-    return None
+def _ranks(stack: np.ndarray) -> np.ndarray:
+    """Rank of every matrix in a stack, from one batched SVD: the count of
+    singular values above RANK_RTOL * sigma_max (0 for an all-zero matrix)."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
 def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
@@ -138,9 +128,11 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     every run tests the same ones. Generic subspaces are not tried: once the
     hard checks pass, a generic k-dimensional H has dim L_j H = min(k, dprime),
     and sum_j w_j min(k, dprime) >= k. It reports only "no violation found",
-    never a proof.
+    never a proof. The images L_j H are ranked by one batched SVD per chunk of
+    subspaces.
     """
-    rank_ok = [_matrix_rank(L) == datum.dprime for L in datum.maps]
+    maps = np.stack(datum.maps)
+    rank_ok = (_ranks(maps) == datum.dprime).tolist()
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
     with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
         residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
@@ -151,19 +143,26 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
 
     violations = []
     rng = np.random.default_rng(0)
-    eye = np.eye(datum.d)
     for k in range(1, datum.d):
         if math.comb(datum.d, k) <= _COORD_SUBSPACE_CAP:
             index_sets = itertools.combinations(range(datum.d), k)
         else:
             index_sets = (
-                tuple(sorted(rng.choice(datum.d, size=k, replace=False)))
+                tuple(sorted(rng.choice(datum.d, size=k, replace=False).tolist()))
                 for _ in range(_COORD_SUBSPACE_CAP)
             )
-        for idx in index_sets:
-            v = _subspace_violation(datum, eye[:, list(idx)], f"coordinate subspace {idx}")
-            if v:
-                violations.append(v)
+        per_chunk = max(1, _CHUNK_FLOATS // (datum.m * datum.dprime * k))
+        while chunk := list(itertools.islice(index_sets, per_chunk)):
+            # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i]
+            ranks = _ranks(maps[:, :, np.array(chunk)].swapaxes(1, 2))
+            rhs = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
+                for w, r in zip(datum.weights.tolist(), ranks):
+                    rhs = rhs + w * r
+            for i in np.flatnonzero(k > rhs + _SUBSPACE_SLACK).tolist():
+                violations.append(
+                    f"coordinate subspace {chunk[i]}: dim {k} > weighted image dims {rhs[i]:.6g}"
+                )
 
     return ValidationReport(
         rank_ok, scaling_ok, residual, weight_range_ok, not violations, violations
@@ -204,7 +203,7 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
     for _ in range(m):
         while True:
             L = rng.standard_normal((dprime, d))
-            if _matrix_rank(L) == dprime:
+            if _ranks(L) == dprime:
                 break
         maps.append(L)
     return BLDatum.from_maps(maps, np.full(m, w))
@@ -216,16 +215,19 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
 def critical_c(datum: BLDatum, limit: int = 10**6) -> float:
     """min over maps of the largest |det| over all dprime x dprime column minors.
 
-    Pure brute force over column index sets; guarded by comb(d, dprime) <= limit.
+    Pure brute force over column index sets, one batched det per chunk of them;
+    guarded by comb(d, dprime) <= limit.
     """
     n_sets = math.comb(datum.d, datum.dprime)
     if n_sets > limit:
         raise TooLarge(f"comb({datum.d},{datum.dprime}) = {n_sets} exceeds limit {limit}")
+    per_chunk = max(1, _CHUNK_FLOATS // datum.dprime**2)
     best_per_map = []
     for L in datum.maps:
-        best = 0.0
-        for idx in itertools.combinations(range(datum.d), datum.dprime):
-            best = max(best, abs(float(np.linalg.det(L[:, idx]))))
+        best, index_sets = 0.0, itertools.combinations(range(datum.d), datum.dprime)
+        while chunk := list(itertools.islice(index_sets, per_chunk)):
+            dets = np.abs(np.linalg.det(L[:, np.array(chunk)].swapaxes(0, 1)))
+            best = max(best, float(np.fmax.reduce(dets)))  # a NaN minor is skipped, as by max()
         best_per_map.append(best)
     return min(best_per_map)
 

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtrsm
 
 from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
@@ -164,7 +164,7 @@ class _Whitened:
         self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
                           np.tile(rows, datum.dprime).ravel())
         self.blocks = np.zeros((rows.size, rows.size), order="F")  # shared by the iterates
-        self.t, self.t_inv = x.chol, dtrtrs(x.chol, np.eye(x.n), lower=1)[0]
+        self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
 
     def evaluate(self) -> "_Whitened":
@@ -173,7 +173,7 @@ class _Whitened:
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
         self.blocks[self.block_idx] = c.ravel()
-        w = np.sqrt(self.row_w)[:, None] * dtrtrs(self.blocks, m, lower=1)[0]
+        w = np.sqrt(self.row_w)[:, None] * dtrsm(1.0, self.blocks, m, lower=1)
         self.s = w.T @ w
         g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
         self.gradient = 0.5 * (g + g.T)
@@ -196,7 +196,7 @@ class _Whitened:
         r = cholesky(s)
         lam = np.linalg.eigvalsh(s)
         nxt = copy.copy(self)
-        nxt.t, nxt.t_inv = dtrtrs(r, self.t.T, lower=1)[0].T, r.T @ self.t_inv
+        nxt.t, nxt.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
         nxt.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
         if solver == "normalized":
             shift = math.log(np.vdot(nxt.t, nxt.t))  # the log of the trace of T T^T

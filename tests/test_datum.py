@@ -1,11 +1,14 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blfix.datum
 from blfix.datum import (
     BLDatum,
     critical_c,
@@ -17,6 +20,7 @@ from blfix.datum import (
     load_datum,
     save_datum,
     validate,
+    _ranks,
 )
 from blfix.errors import InvalidShape, ParseError, ShapeMismatch, TooLarge
 
@@ -36,6 +40,65 @@ def subdet_min_max_oracle(datum: BLDatum) -> float:
             best = max(best, abs(float(np.linalg.det(L[:, idx]))))
         best_min = min(best_min, best)
     return best_min
+
+
+def validate_oracle(datum: BLDatum) -> dict:
+    """validate() one rank at a time: each coordinate frame eye[:, idx] is
+    multiplied into each map separately, and the weighted image dimensions are
+    summed as Python floats, in the order of the maps."""
+    rank_ok = [int(_ranks(L)) == datum.dprime for L in datum.maps]
+    violations = []
+    rng = np.random.default_rng(0)
+    eye = np.eye(datum.d)
+    for k in range(1, datum.d):
+        if math.comb(datum.d, k) <= blfix.datum._COORD_SUBSPACE_CAP:
+            index_sets = itertools.combinations(range(datum.d), k)
+        else:
+            index_sets = (
+                tuple(sorted(int(i) for i in rng.choice(datum.d, size=k, replace=False)))
+                for _ in range(blfix.datum._COORD_SUBSPACE_CAP)
+            )
+        for idx in index_sets:
+            rhs = 0.0
+            for L, w in zip(datum.maps, datum.weights.tolist()):
+                rhs += w * int(_ranks(L @ eye[:, list(idx)]))
+            if k > rhs + 1e-9:
+                violations.append(f"coordinate subspace {idx}: dim {k} > weighted image dims {rhs:.6g}")
+    report = validate(datum, subspace_checks=False).to_json_obj()
+    accepted = all(rank_ok) and report["scaling_ok"] and report["weight_range_ok"]
+    report.update(rank_ok=rank_ok, subspace_heuristic_ok=not violations,
+                  sampled_violations=violations, accepted=accepted)
+    return report
+
+
+def block_datum(d: int, dprime: int, m: int, seed: int) -> BLDatum:
+    """Uniform-weight maps that see only the first half of the coordinates, so
+    every coordinate subspace weighted toward the second half violates."""
+    rng = np.random.default_rng(seed)
+    half = d // 2
+    maps = [np.hstack([rng.standard_normal((dprime, half)), np.zeros((dprime, d - half))])
+            for _ in range(m)]
+    return BLDatum.from_maps(maps, np.full(m, d / (m * dprime)))
+
+
+def equivalence_data() -> list:
+    crafted = BLDatum.from_maps([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])
+    c, s = math.cos(0.3), math.sin(0.3)
+    data = [gen_random(d, dp, m, seed=100 + i) for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES)]
+    return data + [
+        gen_random(10, 5, 8, 0),
+        gen_young(),
+        gen_holder(3, 2),
+        BLDatum.from_maps([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1e-9]]], [2.0 / 3.0] * 3),
+        crafted,
+        BLDatum.from_maps([L @ np.array([[c, -s], [s, c]]) for L in crafted.maps], crafted.weights),
+        BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3),  # a common kernel
+        BLDatum.from_maps([np.eye(2)] * 3, [0.5, 0.5, 0.5]),  # bad scaling
+        BLDatum.from_maps([[[1.0, 1.0]], [[1.0, -1.0]]], [1e308, 1e308]),
+        BLDatum.from_maps([np.eye(3)] * 2, [-1e308, 1e308]),  # the sum reaches -inf + inf
+        block_datum(6, 3, 4, 0),
+        block_datum(10, 2, 5, 1),
+    ]
 
 
 class TestValidate:
@@ -93,6 +156,26 @@ class TestValidate:
         for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES):
             rep = validate(gen_random(d, dp, m, seed=100 + i))
             assert rep.accepted and rep.subspace_heuristic_ok, (d, dp, m)
+
+    @pytest.mark.filterwarnings("error")  # no overflow or invalid-value warning either
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 300])
+    def test_batched_matches_loop_oracle(self, monkeypatch, chunk):
+        # chunks of 1, 7 and 300 floats cut the stacks at other subspaces than the default
+        if chunk is not None:
+            monkeypatch.setattr(blfix.datum, "_CHUNK_FLOATS", chunk)
+        for i, datum in enumerate(equivalence_data()):
+            assert validate(datum).to_json_obj() == validate_oracle(datum), i
+
+    def test_sampled_subspace_labels_are_plain_ints(self, monkeypatch):
+        # beyond the cap the index sets come from the generator; their labels must
+        # read like the enumerated ones, e.g. "coordinate subspace (3, 5)"
+        monkeypatch.setattr(blfix.datum, "_COORD_SUBSPACE_CAP", 5)
+        datum = block_datum(6, 3, 4, 0)
+        rep = validate(datum)
+        assert rep.sampled_violations and rep.sampled_violations == validate(datum).sampled_violations
+        label = re.compile(r"coordinate subspace \((\d+, )*\d+,?\): ")
+        assert all(label.match(v) for v in rep.sampled_violations)
+        assert rep.to_json_obj() == validate_oracle(datum)
 
 
 class TestGenerators:
@@ -179,6 +262,13 @@ class TestCriticalC:
         for i, (d, dp, m) in enumerate(shapes):
             datum = gen_random(d, dp, m, seed=50 + i)
             assert critical_c(datum, limit=200) == subdet_min_max_oracle(datum)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_chunked_matches_bitmask_oracle(self, monkeypatch, chunk):
+        monkeypatch.setattr(blfix.datum, "_CHUNK_FLOATS", chunk)
+        for i, (d, dp, m) in enumerate([(5, 2, 3), (6, 3, 3), (8, 2, 5), (7, 1, 8)]):
+            datum = gen_random(d, dp, m, seed=70 + i)
+            assert critical_c(datum) == subdet_min_max_oracle(datum)
 
 
 class TestPersistence:
