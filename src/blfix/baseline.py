@@ -69,7 +69,8 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
 
     Raises ValidationFailed unless the datum passes the hard checks, with the
     fixed-point solvers' message. An overflowing iterate raises StepFailure
-    with the iteration index (F is unbounded below on infeasible data). In the
+    with the iteration index, as in every solver (F is unbounded below on
+    infeasible data, which RGD never flags). In the
     SolveResult, residual is the final Riemannian gradient norm and grad_norm
     the Euclidean one.
     """
@@ -78,9 +79,8 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
         rnorm = float(np.linalg.norm(x.s - np.eye(datum.d)))
         return x.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
-    def step(k, x):
+    def step(x):
         return x.descend(*sym_eig(x.s - np.eye(datum.d)), STEP_SIZE)
 
-    # an overflowing iterate ends the run
     return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
-                  config.max_iter, over="raise", invalid="raise")
+                  config.max_iter)

@@ -124,12 +124,12 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     (0, 1], and the dimensions satisfy sum_j w_j * dprime = d within 1e-10.
     The heuristic part tests the dimension condition on the coordinate
     subspaces of each dimension 1..d-1: all of them while there are at most
-    _COORD_SUBSPACE_CAP, otherwise that many drawn with the fixed seed 0, so
-    every run tests the same ones. Generic subspaces are not tried: once the
-    hard checks pass, a generic k-dimensional H has dim L_j H = min(k, dprime),
-    and sum_j w_j min(k, dprime) >= k. It reports only "no violation found",
-    never a proof. The images L_j H are ranked by one batched SVD per chunk of
-    subspaces.
+    _COORD_SUBSPACE_CAP, otherwise that many distinct ones drawn with the
+    fixed seed 0, so every run tests the same ones. Generic subspaces are not
+    tried: once the hard checks pass, a generic k-dimensional H has
+    dim L_j H = min(k, dprime), and sum_j w_j min(k, dprime) >= k. It reports
+    only "no violation found", never a proof. The images L_j H are ranked by
+    one batched SVD per chunk of subspaces.
     """
     maps = np.stack(datum.maps)
     rank_ok = (_ranks(maps) == datum.dprime).tolist()
@@ -146,11 +146,12 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     for k in range(1, datum.d):
         if math.comb(datum.d, k) <= _COORD_SUBSPACE_CAP:
             index_sets = itertools.combinations(range(datum.d), k)
-        else:
-            index_sets = (
-                tuple(sorted(rng.choice(datum.d, size=k, replace=False).tolist()))
-                for _ in range(_COORD_SUBSPACE_CAP)
-            )
+        else:  # seed-0 draws; a set drawn before for this k is skipped
+            seen = set()
+            draws = (tuple(sorted(rng.choice(datum.d, size=k, replace=False).tolist()))
+                     for _ in itertools.count())
+            fresh = (idx for idx in draws if idx not in seen and not seen.add(idx))
+            index_sets = itertools.islice(fresh, _COORD_SUBSPACE_CAP)
         per_chunk = max(1, _CHUNK_FLOATS // (datum.m * datum.dprime * k))
         while chunk := list(itertools.islice(index_sets, per_chunk)):
             # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i]

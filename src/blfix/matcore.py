@@ -8,6 +8,7 @@ dense, and desk scale (dimensions up to a few dozen).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -126,14 +127,18 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
     """Smallest lam > 0 with x <= lam * y in the semidefinite order.
 
     Computed as the top eigenvalue of L^{-1} x L^{-T} where y = L L^T, i.e. one
-    Cholesky (cached on y) plus one symmetric eigensolve.
+    Cholesky (cached on y) plus one symmetric eigensolve. Raises InvalidArgument
+    unless lam is a positive double, as when the quotient overflows or underflows.
     """
     if x.n != y.n:
         raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
     w = scipy.linalg.solve_triangular(y.chol, x.a, lower=True, check_finite=False)
     w = scipy.linalg.solve_triangular(y.chol, w.T, lower=True, check_finite=False)
-    vals = np.linalg.eigvalsh(0.5 * (w + w.T))
-    return float(vals[-1])
+    s = 0.5 * (w + w.T)
+    lam = float(np.linalg.eigvalsh(s)[-1]) if np.all(np.isfinite(s)) else math.inf
+    if not 0.0 < lam < math.inf:
+        raise InvalidArgument(f"generalized eigenvalue {lam!r}: the quotient leaves the doubles")
+    return lam
 
 
 # --- matrix JSON interface ---------------------------------------------------

@@ -27,6 +27,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -85,8 +86,7 @@ class SolveResult:
     status: str
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     iter: int
     F: float
     F_mu: float
@@ -107,31 +107,18 @@ class IterTrace:
     residual: "thompson_step" for the fixed-point maps, "grad_norm" for RGD.
     """
 
-    HEADER = ("iter", "F", "F_mu", "grad_norm", "thompson_step", "min_eig", "max_eig", "time_ns")
+    HEADER = TraceRow._fields  # the CSV columns
 
     def __init__(self, residual: str = "thompson_step"):
         self.rows: list[TraceRow] = []
         self.mu_events: list[tuple[int, float]] = []
         self.residual = residual
 
-    def record(self, k: int, f: float, f_mu: float, grad_norm: float, step_len: float,
-               eigs: np.ndarray, t0: int) -> None:
-        """Append the row of iterate k, whose ascending eigenvalues are eigs."""
-        self.rows.append(
-            TraceRow(k, f, f_mu, grad_norm, step_len, float(eigs[0]), float(eigs[-1]),
-                     time.perf_counter_ns() - t0)
-        )
-
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.rows]
 
     def write_csv(self, path: str) -> None:
-        lines = [",".join(self.HEADER)]
-        for r in self.rows:
-            lines.append(
-                f"{r.iter},{r.F!r},{r.F_mu!r},{r.grad_norm!r},{r.thompson_step!r},"
-                f"{r.min_eig!r},{r.max_eig!r},{r.time_ns}"
-            )
+        lines = [",".join(self.HEADER)] + [",".join(map(repr, r)) for r in self.rows]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -274,27 +261,22 @@ def contraction_diagnostic(
     return lhs, bound
 
 
-def _steps_growing(steps: list) -> bool:
-    tail = [s for s in steps[-11:] if not math.isnan(s)]
-    return len(tail) >= 2 and tail[-1] > tail[0]
-
-
-def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check, max_iter: int,
-           **errstate) -> tuple[SolveResult, IterTrace]:
+def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
+           max_iter: int) -> tuple[SolveResult, IterTrace]:
     """The solver loop: gate the datum, then evaluate each iterate from x0
     once, check it, record it, step.
 
     The gate raises ValidationFailed, naming every hard check, unless the
-    datum passes them all. `step(k, x)` returns the next iterate, not yet
+    datum passes them all. `step(x)` returns the next iterate, not yet
     evaluated, carrying the length of the step that reached it.
-    `check(k, x, eigs)`, given the evaluated iterate and its ascending
+    `check(k, x, eigs)`, given the evaluated iterate k and its ascending
     eigenvalues, returns the trace row's F_mu and grad_norm plus a stop status,
-    or None as status to go on. The one evaluation of an iterate feeds its
-    check, its row, the step from it and, for the last iterate, the result,
-    whose residual is the row's `trace.residual` column. Everything after the
-    gate runs under np.errstate(**errstate). A failed Cholesky ends the run as
-    a CholeskyFailure and a FloatingPointError as a StepFailure, both with the
-    iteration index.
+    or None to go on; after max_iter steps the run ends as MaxIter. The one
+    evaluation of an iterate feeds its check, its row, the step from it and,
+    for the last iterate, the result, whose residual is the row's
+    `trace.residual` column. After the gate numpy raises on overflow and on
+    invalid operations, so for every solver a failed Cholesky ends the run as
+    a CholeskyFailure and an overflow as a StepFailure, with the iteration index.
     """
     report = validate(datum, subspace_checks=False)
     if not report.accepted:
@@ -303,14 +285,13 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check, max_ite
             f"rank_ok={report.rank_ok}, scaling_ok={report.scaling_ok} "
             f"(residual {report.scaling_residual:g}), weight_range_ok={report.weight_range_ok}"
         )
-    with np.errstate(**errstate):
+    with np.errstate(over="raise", invalid="raise"):
         x = _Whitened(datum, x0)
         t0 = time.perf_counter_ns()
-        k, status = 0, None
-        while True:
+        for k in range(max_iter + 1):
             try:
                 if k:
-                    x = step(k, x)
+                    x = step(x)
                 x.evaluate()
                 eigs = x.eigenvalues()
                 f_mu, grad_norm, status = check(k, x, eigs)
@@ -318,10 +299,10 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check, max_ite
                 raise CholeskyFailure(f"iteration {k}: {exc}") from exc
             except FloatingPointError as exc:
                 raise StepFailure(f"iteration {k}: {exc}") from exc
-            trace.record(k, x.value, f_mu, grad_norm, x.step_len, eigs, t0)
-            if status is not None or k >= max_iter:
+            trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, float(eigs[0]),
+                                       float(eigs[-1]), time.perf_counter_ns() - t0))
+            if status is not None:
                 break
-            k += 1
         status = status or MAX_ITER
         result = SolveResult(
             X_star=SpdMatrix(x.t @ x.t.T),
@@ -341,41 +322,34 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
 
     Raises ValidationFailed unless the datum passes the hard checks (ranks,
     weight range, scaling). Flags InfeasibilitySuspected when the iterate's
-    condition number exceeds BLOWUP_COND, or on MaxIter with growing steps;
-    infeasible data have no finite fixed point, so blowup is the expected
-    signature. Numeric failures carry the iteration index.
+    condition number exceeds BLOWUP_COND; infeasible data have no finite fixed
+    point, so blowup is the expected signature. A run that reaches max_iter
+    ends as MaxIter, whatever its step lengths did. Numeric failures carry the
+    iteration index.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
     trace = IterTrace()
-    mu = 0.0
-    r_seen = r_base = 0.0
+    mu = r_base = 0.0
     adaptive = config.solver == "regularized" and config.mu_override is None
 
     def check(k, x, eigs):
-        nonlocal mu, r_seen, r_base
+        nonlocal mu, r_base
         if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
-            r_seen = r_base = max(1.0, float(x0.eigenvalues()[-1]))
-            mu = config.mu_override if config.mu_override is not None else choose_mu(
-                config.epsilon, r_base, datum.d
-            )
+            r_base = max(1.0, float(x0.eigenvalues()[-1]))
+            mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
             trace.mu_events.append((0, mu))
         f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
         grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
         lo, hi = float(eigs[0]), float(eigs[-1])
-        if adaptive:
-            r_seen = max(r_seen, hi)
-            if r_seen > 2.0 * r_base:  # restart the contraction budget
-                r_base = r_seen
-                mu = choose_mu(config.epsilon, r_base, datum.d)
-                trace.mu_events.append((k, mu))
+        if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
+            r_base = hi
+            mu = choose_mu(config.epsilon, r_base, datum.d)
+            trace.mu_events.append((k, mu))
         if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
             return f_mu, grad_norm, INFEASIBILITY_SUSPECTED
         return f_mu, grad_norm, CONVERGED if x.step_len <= config.tol else None
 
-    def step(k, x):
+    def step(x):
         return x.advance(config.solver, mu)
 
-    result, trace = _drive(datum, x0, trace, step, check, config.max_iter)
-    if result.status == MAX_ITER and _steps_growing(trace.column("thompson_step")):
-        result.status = INFEASIBILITY_SUSPECTED
-    return result, trace
+    return _drive(datum, x0, trace, step, check, config.max_iter)

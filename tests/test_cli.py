@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -129,6 +130,17 @@ class TestSolve:
         assert code == 3
         assert json.loads(out)["result"]["status"] == "InfeasibilitySuspected"
 
+    def test_roundoff_floor_is_not_flagged(self, capsys, tmp_path):
+        # tol 1e-15 is below the roundoff of this feasible datum's steps, so the
+        # run ends at the cap; the steps' jitter there is not a sign of infeasibility
+        path = str(tmp_path / "r.json")
+        assert main(["gen", "random", "--d", "4", "--dprime", "3", "--m", "5", "--seed", "5",
+                     "--out", path]) == 0
+        code, out = run_cli(capsys, "solve", path, "--solver", "g", "--tol", "1e-15",
+                            "--max-iter", "2000")
+        assert code in (0, 2)
+        assert json.loads(out)["result"]["status"] in ("Converged", "MaxIter")
+
     def test_missing_file_exits_1(self, capsys):
         code, _ = run_cli(capsys, "solve", "/nonexistent/datum.json")
         assert code == 1
@@ -251,6 +263,17 @@ class TestMetric:
         assert code == 0
         assert float(out) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["thompson", "hilbert"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_quotient_outside_the_doubles_exits_1(self, capsys, tmp_path, which, n):
+        big, small = str(tmp_path / "big.json"), str(tmp_path / "small.json")
+        save_matrix(SpdMatrix(1e300 * np.eye(n)), big)
+        save_matrix(SpdMatrix(1e-300 * np.eye(n)), small)
+        for x, y in ((big, small), (small, big)):
+            err = assert_error_exit(capsys, "metric", which, x, y)
+            assert err.count("\n") == 1 and "leaves the doubles" in err
+
 
 class TestBench:
     def test_bench_runs_and_writes(self, capsys, tmp_path):
@@ -280,6 +303,26 @@ class TestBench:
         assert rows_without_time(tmp_path / "a" / "gmu.csv") == rows_without_time(
             tmp_path / "b" / "gmu.csv"
         )
+
+    def test_bench_datum_file(self, capsys, tmp_path, young_path):
+        out_dir = str(tmp_path / "traces")
+        code, out = run_cli(capsys, "bench", "--datum", young_path, "--solvers", "g,gtilde",
+                            "--out-dir", out_dir)
+        assert code == 0
+        obj = json.loads(out)
+        with open(young_path, "rb") as fh:
+            assert obj["datum"] == {"path": young_path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        assert set(obj["solvers"]) == {"g", "gtilde"}
+        for name, run in obj["solvers"].items():
+            assert run["status"] == "Converged"
+            assert abs(run["bl_constant"] - math.sqrt(3) / 2) <= 1e-9
+            assert os.path.exists(os.path.join(out_dir, f"{name}.csv"))
+        assert os.path.exists(os.path.join(out_dir, "summary.txt"))
+
+    def test_bench_unknown_solver_exits_1(self, capsys, tmp_path, young_path):
+        err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,foo",
+                                "--out-dir", str(tmp_path / "b"))
+        assert "unknown solver 'foo'" in err
 
 
 class TestUsage:

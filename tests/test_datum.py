@@ -53,11 +53,11 @@ def validate_oracle(datum: BLDatum) -> dict:
     for k in range(1, datum.d):
         if math.comb(datum.d, k) <= blfix.datum._COORD_SUBSPACE_CAP:
             index_sets = itertools.combinations(range(datum.d), k)
-        else:
-            index_sets = (
-                tuple(sorted(int(i) for i in rng.choice(datum.d, size=k, replace=False)))
-                for _ in range(blfix.datum._COORD_SUBSPACE_CAP)
-            )
+        else:  # the seed-0 draws in order, each set kept the first time it is drawn
+            index_sets = {}  # ordered by first insertion
+            while len(index_sets) < blfix.datum._COORD_SUBSPACE_CAP:
+                idx = tuple(sorted(int(i) for i in rng.choice(datum.d, size=k, replace=False)))
+                index_sets.setdefault(idx)
         for idx in index_sets:
             rhs = 0.0
             for L, w in zip(datum.maps, datum.weights.tolist()):
@@ -175,6 +175,9 @@ class TestValidate:
         assert rep.sampled_violations and rep.sampled_violations == validate(datum).sampled_violations
         label = re.compile(r"coordinate subspace \((\d+, )*\d+,?\): ")
         assert all(label.match(v) for v in rep.sampled_violations)
+        # no index set is tested twice; a set's length is its dimension
+        sets = [label.match(v).group(0) for v in rep.sampled_violations]
+        assert len(sets) == len(set(sets))
         assert rep.to_json_obj() == validate_oracle(datum)
 
 

@@ -148,6 +148,17 @@ class TestMaxGenEig:
         with pytest.raises(DimensionMismatch):
             max_gen_eig(SpdMatrix.identity(2), SpdMatrix.identity(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_quotient_outside_the_doubles(self, n):
+        # 1e300 I / 1e-300 I overflows to inf (nan in the off-diagonals), and the
+        # reverse quotient underflows to 0; neither is a usable eigenvalue
+        big, small = SpdMatrix(1e300 * np.eye(n)), SpdMatrix(1e-300 * np.eye(n))
+        for x, y in ((big, small), (small, big)):
+            with pytest.raises(InvalidArgument, match="leaves the doubles"):
+                max_gen_eig(x, y)
+        assert max_gen_eig(big, SpdMatrix(1e-7 * np.eye(n))) == pytest.approx(1e307)
+
 
 class TestOpNorm:
     def test_matches_eigs(self):

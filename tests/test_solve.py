@@ -283,6 +283,19 @@ class TestSolveFixedPoint:
         assert res.status == INFEASIBILITY_SUSPECTED
         assert not res.converged
 
+    @pytest.mark.parametrize("solver", ["plain_g", "normalized"])
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_roundoff_floor_is_not_flagged(self, i, solver):
+        # tol 1e-16 is below roundoff: past the default stop the steps jitter at
+        # the floor, up or down, until the cap. A feasible datum must still end
+        # as MaxIter (Converged on an exact zero step) with the converged constant.
+        datum = feasible_datum(i)
+        ref, _ = solve_fixed_point(datum, SolveConfig(solver=solver))
+        cfg = SolveConfig(solver=solver, tol=1e-16, max_iter=max(300, ref.iterations + 50))
+        res, _ = solve_fixed_point(datum, cfg)
+        assert res.status in (CONVERGED, MAX_ITER)
+        assert abs(res.bl_constant - ref.bl_constant) <= 1e-12 * ref.bl_constant
+
     def test_max_iter_status(self):
         cfg = SolveConfig(solver="regularized", tol=1e-13, epsilon=1e-6, max_iter=40)
         res, trace = solve_fixed_point(gen_young(), cfg)
