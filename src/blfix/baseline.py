@@ -51,8 +51,7 @@ def rgd_step(datum: BLDatum, x: SpdMatrix, eta: float) -> SpdMatrix:
     """Exponential-map update Exp_X(-eta * riem_grad(X)) by one kernel step; stays on the cone."""
     check_nonnegative("eta", eta)
     frame = _Whitened(datum, x).evaluate()
-    t = frame.descend(*sym_eig(frame.s - np.eye(datum.d)), eta).t
-    return SpdMatrix(t @ t.T)
+    return SpdMatrix._from_factor(frame.descend(*sym_eig(frame.s - np.eye(datum.d)), eta).t)
 
 
 def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace]:

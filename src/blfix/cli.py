@@ -77,44 +77,23 @@ def _result_obj(result: SolveResult) -> dict:
     }
 
 
+def _given(**flags) -> dict:
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _run_solver(datum: BLDatum, name: str, args) -> tuple[SolveResult, IterTrace, dict]:
-    """Run one solver by CLI name; returns (result, trace, config echo)."""
+    """Run one solver by CLI name, passing its config only the flags the user set;
+    returns (result, trace, echo of the config the run used)."""
     if name == "rgd":
-        tol = args.tol if args.tol is not None else RgdConfig.tol_grad
-        cfg = RgdConfig(tol_grad=tol, max_iter=args.max_iter)
+        cfg = RgdConfig(**_given(tol_grad=args.tol, max_iter=args.max_iter))
         result, trace = solve_rgd(datum, cfg)
-        echo = {"solver": "rgd", "tol_grad": tol, "max_iter": args.max_iter}
-        return result, trace, echo
-    solver = _SOLVER_NAMES[name]
-    if args.tol is not None:
-        tol = args.tol
-    elif solver == "regularized":
-        # the regularized step length plateaus near mu*lambda_max, well below eps
-        tol = args.eps
-    else:
-        tol = SolveConfig.tol
-    x0 = None
-    x0_echo = "identity"
-    if getattr(args, "x0", None) not in (None, "identity"):
-        x0 = load_matrix(args.x0)
-        x0_echo = args.x0
-    cfg = SolveConfig(
-        solver=solver,
-        tol=tol,
-        max_iter=args.max_iter,
-        epsilon=args.eps,
-        mu_override=args.mu,
-        x0=x0,
-    )
+        return result, trace, {"solver": "rgd", "tol_grad": cfg.tol_grad, "max_iter": cfg.max_iter}
+    x0 = getattr(args, "x0", "identity")
+    cfg = SolveConfig(solver=_SOLVER_NAMES[name], x0=None if x0 == "identity" else load_matrix(x0),
+                      **_given(tol=args.tol, max_iter=args.max_iter, epsilon=args.eps, mu_override=args.mu))
     result, trace = solve_fixed_point(datum, cfg)
-    echo = {
-        "solver": name,
-        "tol": tol,
-        "max_iter": args.max_iter,
-        "epsilon": args.eps,
-        "mu": args.mu,
-        "x0": x0_echo,
-    }
+    echo = {"solver": name, "tol": cfg.tol, "max_iter": cfg.max_iter, "epsilon": cfg.epsilon,
+            "mu": cfg.mu_override, "x0": x0}
     return result, trace, echo
 
 
@@ -201,9 +180,11 @@ def cmd_bench(args) -> int:
     names = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not names:
         raise BlfixError("--solvers names no solver; choose from g,gmu,gtilde,rgd")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in _SOLVER_NAMES:
             raise BlfixError(f"unknown solver {name!r}; choose from {sorted(_SOLVER_NAMES)}")
+        if name in names[:i]:
+            raise BlfixError(f"solver {name!r} is named twice in --solvers")
 
     def run(name: str):
         t0 = time.perf_counter()
@@ -255,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--solver", choices=sorted(_SOLVER_NAMES), default="gmu")
     ps.add_argument("--tol", type=float, default=None,
                     help="stopping threshold (Thompson step; gradient norm for rgd)")
-    ps.add_argument("--max-iter", type=int, default=10000)
-    ps.add_argument("--eps", type=float, default=1e-6, help="target accuracy for gmu")
+    ps.add_argument("--max-iter", type=int, default=None)
+    ps.add_argument("--eps", type=float, default=None, help="target accuracy for gmu")
     ps.add_argument("--mu", type=float, default=None, help="fixed regularization override")
     ps.add_argument("--x0", default="identity", help="'identity' or a matrix JSON file")
     ps.add_argument("--trace", default=None, help="write the iteration trace CSV here")

@@ -63,6 +63,19 @@ class SpdMatrix:
         self.a = a
         self.chol = chol
 
+    @classmethod
+    def _from_factor(cls, t: np.ndarray) -> "SpdMatrix":
+        """T T^T for a square factor T, whose Cholesky factor is R^T for T^T = Q R,
+        signed to a positive diagonal: refactoring T T^T fails near cond 1e16."""
+        a, r = _as_square(t @ t.T), np.linalg.qr(t.T, mode="r")
+        if not np.all(np.diag(r)):
+            raise CholeskyFailure("matrix is not positive definite")
+        x = cls.__new__(cls)
+        x.a, x.chol = 0.5 * (a + a.T), r.T * np.sign(np.diag(r))
+        x.a.setflags(write=False)
+        x.chol.setflags(write=False)
+        return x
+
     @property
     def n(self) -> int:
         return self.a.shape[0]

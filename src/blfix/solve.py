@@ -11,14 +11,14 @@ metric in which the maps are non-expansive (and, with mu > 0, contractive).
 The gradient norm is reported but never used for stopping. The RGD baseline
 runs in the same loop, on the same iterates, with its own step and check.
 
-A practical note on the regularized map: for feasible data the objective is
-scale invariant, so the trace term has no interior stationary point and the
-regularized iterates track the optimal ray while drifting toward the origin by
-a factor of roughly (1 - mu*lambda) per step. The Thompson step length
-therefore plateaus near mu * lambda_max(X) instead of reaching 0. Choose
-`tol` above that plateau (tol of the order of `epsilon` works; the constant
-exp(-F/2) is scale invariant and already accurate there), or accept a MaxIter
-status whose bl_constant is still correct.
+The regularized map stops at tol = epsilon by default. On feasible data its
+iterates track the optimal ray while drifting toward the origin by a factor of
+about (1 - mu*lambda) per step, so the Thompson step plateaus near
+mu * lambda_max(X) instead of reaching 0. Adaptive mu keeps lambda_max below
+2 r_base, so the plateau is at most about epsilon / (2d), and exp(-F/2), being
+scale invariant, is accurate there. A large `mu_override` can lift the plateau
+above epsilon: pass a larger `tol` then, or accept a MaxIter run, whose
+bl_constant is still correct.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ def _check_budget(tol_name: str, tol: float, max_iter: int) -> None:
 
 @dataclass
 class SolveConfig:
+    """One run's settings. tol None means epsilon for regularized, else 1e-10."""
+
     solver: str = "plain_g"
-    tol: float = 1e-10
+    tol: float | None = None
     max_iter: int = 10000
     epsilon: float = 1e-6
     mu_override: float | None = None
@@ -68,9 +70,11 @@ class SolveConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise InvalidArgument(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        check_positive("epsilon", self.epsilon)  # first: the CLI derives gmu's tol from it
+        check_positive("epsilon", self.epsilon)  # first: regularized's default tol is epsilon
         if self.mu_override is not None:
             check_positive("mu_override", self.mu_override)
+        if self.tol is None:
+            self.tol = self.epsilon if self.solver == "regularized" else 1e-10
         _check_budget("tol", self.tol, self.max_iter)
 
 
@@ -205,8 +209,7 @@ class _Whitened:
 
 def _map_step(datum: BLDatum, x: SpdMatrix, solver: str, mu: float = 0.0) -> SpdMatrix:
     """The solver's map of x, by one kernel step."""
-    t = _Whitened(datum, x).evaluate().advance(solver, mu).t
-    return SpdMatrix(t @ t.T)
+    return SpdMatrix._from_factor(_Whitened(datum, x).evaluate().advance(solver, mu).t)
 
 
 def step_G(datum: BLDatum, x: SpdMatrix) -> SpdMatrix:
@@ -305,7 +308,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 break
         status = status or MAX_ITER
         result = SolveResult(
-            X_star=SpdMatrix(x.t @ x.t.T),
+            X_star=SpdMatrix._from_factor(x.t),
             bl_constant=bl_constant_from_F(x.value),
             F_value=x.value,
             iterations=len(trace.rows) - 1,
@@ -318,7 +321,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
 
 
 def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult, IterTrace]:
-    """Iterate the selected map from x0 until the Thompson step is below tol.
+    """Iterate the selected map from x0 until the Thompson step is at most
+    config.tol, which for `regularized` defaults to epsilon (SolveConfig).
 
     Raises ValidationFailed unless the datum passes the hard checks (ranks,
     weight range, scaling). Flags InfeasibilitySuspected when the iterate's

@@ -135,3 +135,13 @@ class TestSolveRgd:
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match=r"^iteration \d+: "):
                 solve_rgd(datum, RgdConfig())
+
+    def test_ill_conditioned_result_is_returned(self):
+        # near-parallel Young, rotated: cond X_star nears 1e18, where the result
+        # is read out from the factor because T T^T is no longer definite in doubles
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        maps = [np.array(L) @ rot for L in ([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1e-9]])]
+        res, _ = solve_rgd(BLDatum.from_maps(maps, [2 / 3] * 3), RgdConfig())
+        assert res.status == CONVERGED
+        assert res.bl_constant == pytest.approx(1e3 * math.sqrt(3) / 2, rel=1e-6)

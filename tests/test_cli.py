@@ -160,6 +160,17 @@ class TestSolve:
         lines = open(trace).read().strip().split("\n")
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
 
+    @pytest.mark.parametrize("solver, config", [
+        ("g", {"tol": 1e-10, "max_iter": 10000, "epsilon": 1e-6, "mu": None, "x0": "identity"}),
+        ("gmu", {"tol": 1e-6, "max_iter": 10000, "epsilon": 1e-6, "mu": None, "x0": "identity"}),
+        ("gtilde", {"tol": 1e-10, "max_iter": 10000, "epsilon": 1e-6, "mu": None, "x0": "identity"}),
+        ("rgd", {"tol_grad": 1e-8, "max_iter": 10000}),
+    ])
+    def test_default_config_echo(self, capsys, young_path, solver, config):
+        code, out = run_cli(capsys, "solve", young_path, "--solver", solver)
+        assert code == 0
+        assert json.loads(out)["config"] == {"solver": solver, **config}
+
     def test_deterministic_output(self, capsys, young_path):
         _, out1 = run_cli(capsys, "solve", young_path, "--solver", "gmu")
         _, out2 = run_cli(capsys, "solve", young_path, "--solver", "gmu")
@@ -323,6 +334,14 @@ class TestBench:
         err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,foo",
                                 "--out-dir", str(tmp_path / "b"))
         assert "unknown solver 'foo'" in err
+
+    def test_bench_repeated_solver_exits_1(self, capsys, monkeypatch, tmp_path, young_path):
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        out_dir = tmp_path / "b"
+        err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,gmu,g",
+                                "--out-dir", str(out_dir))
+        assert "solver 'g' is named twice" in err
+        assert not out_dir.exists()
 
 
 class TestUsage:

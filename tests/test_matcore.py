@@ -44,6 +44,17 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             SpdMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_from_factor_matches_construction(self):
+        t = np.random.default_rng(7).standard_normal((5, 5))
+        x, y = SpdMatrix._from_factor(t), SpdMatrix(t @ t.T)
+        assert np.array_equal(x.a, y.a)
+        assert np.allclose(x.chol, y.chol, rtol=0.0, atol=1e-12)
+        assert not x.a.flags.writeable and not x.chol.flags.writeable
+
+    def test_from_factor_rejects_singular(self):
+        with pytest.raises(CholeskyFailure):
+            SpdMatrix._from_factor(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
     def test_immutable(self):
         x = SpdMatrix.identity(3)
         with pytest.raises(ValueError):

@@ -332,6 +332,22 @@ class TestSolveConfig:
         with pytest.raises(InvalidArgument, match=field):
             SolveConfig(**{field: value})
 
+    def test_tol_defaults(self):
+        assert SolveConfig().tol == 1e-10
+        assert SolveConfig(solver="normalized").tol == 1e-10
+        assert SolveConfig(solver="regularized").tol == 1e-6
+        assert SolveConfig(solver="regularized", epsilon=1e-4).tol == 1e-4
+        assert SolveConfig(solver="regularized", tol=1e-3).tol == 1e-3
+
+    @pytest.mark.parametrize("i", range(-1, len(FEASIBLE_SHAPES)))
+    def test_default_regularized_converges(self, i):
+        # the default tol, epsilon, sits above the regularized steps' plateau
+        datum = gen_young() if i < 0 else feasible_datum(i)
+        res, _ = solve_fixed_point(datum, SolveConfig(solver="regularized"))
+        ref, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+        assert res.status == CONVERGED
+        assert abs(res.bl_constant - ref.bl_constant) <= 1e-9 * ref.bl_constant
+
 
 _YOUNG, _I2 = gen_young(), SpdMatrix.identity(2)
 SCALAR_ARGUMENTS = [  # (argument, call with that argument set to v)
