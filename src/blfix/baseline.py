@@ -20,18 +20,21 @@ from ._util import check_nonnegative
 from .datum import BLDatum
 from .matcore import SpdMatrix, sym_eig
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
-from .solve import CONVERGED, IterTrace, SolveResult, _check_budget, _drive, _Whitened
+from .solve import CONVERGED, IterTrace, SolveResult, _check_settings, _drive, _Whitened
 
 STEP_SIZE = 0.1  # every step's eta; the certificate in solve_rgd's docstring needs eta <= 0.1
 
 
 @dataclass
 class RgdConfig:
+    """`trace` is the IterTrace level, "summary" or "full"."""
+
     tol_grad: float = 1e-8  # on the Riemannian gradient norm
     max_iter: int = 10000
+    trace: str = "summary"
 
     def __post_init__(self):
-        _check_budget("tol_grad", self.tol_grad, self.max_iter)
+        _check_settings("tol_grad", self.tol_grad, self.max_iter, self.trace)
 
 
 def riem_grad(datum: BLDatum, x: SpdMatrix) -> np.ndarray:
@@ -74,7 +77,7 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
     the Euclidean one.
     """
 
-    def check(k, x, eigs):
+    def check(k, x):
         rnorm = float(np.linalg.norm(x.s - np.eye(datum.d)))
         return x.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
@@ -82,4 +85,4 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
         return x.descend(*sym_eig(x.s - np.eye(datum.d)), STEP_SIZE)
 
     return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
-                  config.max_iter)
+                  config.max_iter, config.trace == "full")

@@ -81,15 +81,17 @@ def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _run_solver(datum: BLDatum, name: str, args) -> tuple[SolveResult, IterTrace, dict]:
-    """Run one solver by CLI name, passing its config only the flags the user set;
-    returns (result, trace, echo of the config the run used)."""
+def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResult, IterTrace, dict]:
+    """Run one solver by CLI name at the given trace level, passing its config
+    only the flags the user set; returns (result, trace, echo of the config
+    the run used)."""
     if name == "rgd":
-        cfg = RgdConfig(**_given(tol_grad=args.tol, max_iter=args.max_iter))
+        cfg = RgdConfig(trace=level, **_given(tol_grad=args.tol, max_iter=args.max_iter))
         result, trace = solve_rgd(datum, cfg)
         return result, trace, {"solver": "rgd", "tol_grad": cfg.tol_grad, "max_iter": cfg.max_iter}
     x0 = getattr(args, "x0", "identity")
-    cfg = SolveConfig(solver=_SOLVER_NAMES[name], x0=None if x0 == "identity" else load_matrix(x0),
+    cfg = SolveConfig(solver=_SOLVER_NAMES[name], trace=level,
+                      x0=None if x0 == "identity" else load_matrix(x0),
                       **_given(tol=args.tol, max_iter=args.max_iter, epsilon=args.eps, mu_override=args.mu))
     result, trace = solve_fixed_point(datum, cfg)
     echo = {"solver": name, "tol": cfg.tol, "max_iter": cfg.max_iter, "epsilon": cfg.epsilon,
@@ -100,7 +102,7 @@ def _run_solver(datum: BLDatum, name: str, args) -> tuple[SolveResult, IterTrace
 def cmd_solve(args) -> int:
     datum = load_datum(args.datum)
     t0 = time.perf_counter()
-    result, trace, echo = _run_solver(datum, args.solver, args)
+    result, trace, echo = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
     wall = time.perf_counter() - t0
     if args.trace:
         trace.write_csv(args.trace)
@@ -188,7 +190,7 @@ def cmd_bench(args) -> int:
 
     def run(name: str):
         t0 = time.perf_counter()
-        result, trace, _ = _run_solver(datum, name, args)
+        result, trace, _ = _run_solver(datum, name, args, "full")
         return name, result, trace, time.perf_counter() - t0
 
     runs = [run(name) for name in names]

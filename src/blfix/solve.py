@@ -46,19 +46,24 @@ INFEASIBILITY_SUSPECTED = "InfeasibilitySuspected"
 SOLVERS = ("plain_g", "regularized", "normalized")
 
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
+SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
+TRACE_LEVELS = ("summary", "full")
 
 
-def _check_budget(tol_name: str, tol: float, max_iter: int) -> None:
-    """The stopping rule every solver config shares: a finite positive tolerance
-    and at least one iteration."""
+def _check_settings(tol_name: str, tol: float, max_iter: int, trace: str) -> None:
+    """What every solver config shares: a finite positive tolerance, at least
+    one iteration and a trace level."""
     check_positive(tol_name, tol)
     if max_iter < 1:
         raise InvalidArgument("max_iter must be at least 1")
+    if trace not in TRACE_LEVELS:
+        raise InvalidArgument(f"trace must be one of {TRACE_LEVELS}, got {trace!r}")
 
 
 @dataclass
 class SolveConfig:
-    """One run's settings. tol None means epsilon for regularized, else 1e-10."""
+    """One run's settings. tol None means epsilon for regularized, else 1e-10.
+    `trace` is the IterTrace level, "summary" or "full"."""
 
     solver: str = "plain_g"
     tol: float | None = None
@@ -66,6 +71,7 @@ class SolveConfig:
     epsilon: float = 1e-6
     mu_override: float | None = None
     x0: SpdMatrix | None = None  # None means the identity
+    trace: str = "summary"
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -75,7 +81,7 @@ class SolveConfig:
             check_positive("mu_override", self.mu_override)
         if self.tol is None:
             self.tol = self.epsilon if self.solver == "regularized" else 1e-10
-        _check_budget("tol", self.tol, self.max_iter)
+        _check_settings("tol", self.tol, self.max_iter, self.trace)
 
 
 @dataclass
@@ -109,6 +115,11 @@ class IterTrace:
     whenever the regularization parameter is set or re-derived. `residual`
     names the column the solver stops on, which its result reports as the
     residual: "thompson_step" for the fixed-point maps, "grad_norm" for RGD.
+
+    The config's `trace` level: "full" fills every cell. "summary" leaves nan
+    in min_eig and max_eig except on the rows whose spectrum the run computed
+    (row 0, and where a stop or mu decision needed it), and in the
+    fixed-point maps' grad_norm; both levels run the same iterates.
     """
 
     HEADER = TraceRow._fields  # the CSV columns
@@ -140,7 +151,8 @@ class _Whitened:
     its largest entry. That is exact and leaves P and the W_j unchanged, so no
     pushforward can overflow or underflow; F moves by 2 ln2 d' sum_j w_j e_j,
     which is added back. `step_len` is the Thompson length of the step that
-    reached the iterate.
+    reached the iterate. `log_lo` and `log_hi` bound the logs of X's extreme
+    eigenvalues; `eig_range` holds them once computed, else nans.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -150,6 +162,7 @@ class _Whitened:
         self.maps = np.vstack([np.ldexp(L, -e) for L, e in zip(datum.maps, exps)])
         self.shape = (datum.m, datum.dprime, datum.d)
         self.row_w = np.repeat(datum.weights, datum.dprime)
+        self.sqrt_w = np.sqrt(self.row_w)[:, None]
         self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
         rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
         self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
@@ -157,23 +170,43 @@ class _Whitened:
         self.blocks = np.zeros((rows.size, rows.size), order="F")  # shared by the iterates
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
+        self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
 
     def evaluate(self) -> "_Whitened":
-        """Set value (F), s (S) and gradient (T^{-T} (S - I) T^{-1})."""
+        """Set value (F) and s (S)."""
         m = self.maps @ self.t
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
         self.blocks[self.block_idx] = c.ravel()
-        w = np.sqrt(self.row_w)[:, None] * dtrsm(1.0, self.blocks, m, lower=1)
+        w = self.sqrt_w * dtrsm(1.0, self.blocks, m, lower=1)
         self.s = w.T @ w
-        g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
-        self.gradient = 0.5 * (g + g.T)
         log_det_pf = 2.0 * float(self.row_w @ np.log(self.blocks.diagonal()))
         self.value = log_det_pf - 2.0 * self.log_det_t + self.offset
         return self
 
+    @property
+    def gradient(self) -> np.ndarray:
+        """T^{-T} (S - I) T^{-1}, the gradient of F, computed on each access."""
+        g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
+        return 0.5 * (g + g.T)
+
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.t @ self.t.T)
+
+    def spectrum(self) -> None:
+        """Compute `eig_range` and rebase the bounds on it."""
+        eigs = self.eigenvalues()
+        self.eig_range = lo, hi = float(eigs[0]), float(eigs[-1])
+        self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
+
+    def extremes(self, hi_cap: float, cond_cap: float) -> tuple[float, float]:
+        """`eig_range`, computed unless the bounds prove hi <= hi_cap and
+        hi/lo <= cond_cap / 2 (a computed lo's roundoff grows with hi/lo);
+        else it may stay nan, which fails every comparison."""
+        if math.isnan(self.eig_range[0]) and (self.log_hi > math.log(hi_cap)
+                                              or self.log_hi - self.log_lo > math.log(0.5 * cond_cap)):
+            self.spectrum()
+        return self.eig_range
 
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
         """The image of this evaluated iterate under the solver's map.
@@ -265,21 +298,28 @@ def contraction_diagnostic(
 
 
 def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
-           max_iter: int) -> tuple[SolveResult, IterTrace]:
+           max_iter: int, full: bool) -> tuple[SolveResult, IterTrace]:
     """The solver loop: gate the datum, then evaluate each iterate from x0
     once, check it, record it, step.
 
     The gate raises ValidationFailed, naming every hard check, unless the
     datum passes them all. `step(x)` returns the next iterate, not yet
     evaluated, carrying the length of the step that reached it.
-    `check(k, x, eigs)`, given the evaluated iterate k and its ascending
-    eigenvalues, returns the trace row's F_mu and grad_norm plus a stop status,
-    or None to go on; after max_iter steps the run ends as MaxIter. The one
-    evaluation of an iterate feeds its check, its row, the step from it and,
-    for the last iterate, the result, whose residual is the row's
-    `trace.residual` column. After the gate numpy raises on overflow and on
-    invalid operations, so for every solver a failed Cholesky ends the run as
-    a CholeskyFailure and an overflow as a StepFailure, with the iteration index.
+    `check(k, x)`, given the evaluated iterate k, returns the trace row's F_mu
+    and grad_norm plus a stop status, or None to go on; after max_iter steps
+    the run ends as MaxIter. The one evaluation of an iterate feeds its check,
+    its row, the step from it and, for the last iterate, the result, whose
+    residual is the row's `trace.residual` column and whose grad_norm is
+    taken there. After the gate numpy raises on overflow and on invalid
+    operations, so for every solver a failed Cholesky ends the run as a
+    CholeskyFailure and an overflow as a StepFailure, with the iteration index.
+
+    Each step_len is an exact Thompson length, so if eig(X_r) lies in [lo, hi]
+    and the steps since r sum to D, eig(X_k) lies in [lo e^-D, hi e^D]: each
+    iterate widens its predecessor's bounds by step_len + SPECTRUM_PAD. The
+    spectrum is computed at iterate 0, on every iterate when `full`, and where
+    a check's `extremes` caps are not ruled out by the bounds. Checks decide
+    on computed eigenvalues only, so both trace levels run the same iterates.
     """
     report = validate(datum, subspace_checks=False)
     if not report.accepted:
@@ -295,15 +335,18 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
             try:
                 if k:
                     x = step(x)
+                    pad = x.step_len + SPECTRUM_PAD
+                    x.log_lo, x.log_hi, x.eig_range = x.log_lo - pad, x.log_hi + pad, (math.nan, math.nan)
                 x.evaluate()
-                eigs = x.eigenvalues()
-                f_mu, grad_norm, status = check(k, x, eigs)
+                if full or not k:
+                    x.spectrum()
+                f_mu, grad_norm, status = check(k, x)
             except CholeskyFailure as exc:
                 raise CholeskyFailure(f"iteration {k}: {exc}") from exc
             except FloatingPointError as exc:
                 raise StepFailure(f"iteration {k}: {exc}") from exc
-            trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, float(eigs[0]),
-                                       float(eigs[-1]), time.perf_counter_ns() - t0))
+            trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range,
+                                       time.perf_counter_ns() - t0))
             if status is not None:
                 break
         status = status or MAX_ITER
@@ -332,19 +375,21 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     iteration index.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
-    trace = IterTrace()
+    trace, full = IterTrace(), config.trace == "full"
     mu = r_base = 0.0
     adaptive = config.solver == "regularized" and config.mu_override is None
 
-    def check(k, x, eigs):
+    def check(k, x):
         nonlocal mu, r_base
         if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
             r_base = max(1.0, float(x0.eigenvalues()[-1]))
             mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
             trace.mu_events.append((0, mu))
         f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
-        grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
-        lo, hi = float(eigs[0]), float(eigs[-1])
+        grad_norm = math.nan
+        if full:
+            grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
+        lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf, BLOWUP_COND if k else math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi
             mu = choose_mu(config.epsilon, r_base, datum.d)
@@ -356,4 +401,4 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     def step(x):
         return x.advance(config.solver, mu)
 
-    return _drive(datum, x0, trace, step, check, config.max_iter)
+    return _drive(datum, x0, trace, step, check, config.max_iter, full)

@@ -77,11 +77,12 @@ class TestRgdStep:
 
 class TestRgdConfig:
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(RgdConfig)] == ["tol_grad", "max_iter"]
+        assert [f.name for f in dataclasses.fields(RgdConfig)] == ["tol_grad", "max_iter", "trace"]
 
     @pytest.mark.parametrize("field, value", [
         ("tol_grad", 0.0), ("tol_grad", -1e-8), ("tol_grad", math.nan), ("tol_grad", math.inf),
         ("max_iter", 0), ("max_iter", -3),
+        ("trace", "none"), ("trace", "Full"), ("trace", None),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(InvalidArgument, match=field):

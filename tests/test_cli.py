@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blfix.cli import main
-from blfix.datum import BLDatum, datum_to_json_obj, gen_young, load_datum, save_datum
+from blfix.datum import BLDatum, datum_to_json_obj, gen_random, gen_young, load_datum, save_datum
 from blfix.matcore import SpdMatrix, save_matrix
 
 
@@ -159,6 +159,17 @@ class TestSolve:
         assert code == 0
         lines = open(trace).read().strip().split("\n")
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
+
+    @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde", "rgd"])
+    @pytest.mark.parametrize("shape", [None, (6, 4, 5)], ids=["young", "random"])
+    def test_trace_flag_changes_no_output(self, capsys, tmp_path, solver, shape):
+        # --trace runs at the full trace level and plain solve at summary;
+        # both levels run the same iterates to the same result
+        path = str(tmp_path / "datum.json")
+        save_datum(gen_young() if shape is None else gen_random(*shape, seed=10), path)
+        _, plain = run_cli(capsys, "solve", path, "--solver", solver)
+        _, traced = run_cli(capsys, "solve", path, "--solver", solver, "--trace", str(tmp_path / "t.csv"))
+        assert _strip_volatile(json.loads(plain)) == _strip_volatile(json.loads(traced))
 
     @pytest.mark.parametrize("solver, config", [
         ("g", {"tol": 1e-10, "max_iter": 10000, "epsilon": 1e-6, "mu": None, "x0": "identity"}),

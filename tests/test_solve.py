@@ -304,7 +304,7 @@ class TestSolveFixedPoint:
         assert len(trace.rows) == 41
 
     def test_trace_schema(self):
-        res, trace = solve_fixed_point(gen_young(), SolveConfig(solver="plain_g"))
+        res, trace = solve_fixed_point(gen_young(), SolveConfig(solver="plain_g", trace="full"))
         iters = trace.column("iter")
         assert iters == list(range(len(trace.rows)))
         assert math.isnan(trace.rows[0].thompson_step)
@@ -327,6 +327,7 @@ class TestSolveConfig:
         ("max_iter", 0), ("max_iter", -3),
         ("epsilon", -1e-6), ("epsilon", math.nan), ("epsilon", math.inf),
         ("mu_override", 0.0), ("mu_override", math.nan), ("mu_override", math.inf),
+        ("trace", "none"), ("trace", "Full"), ("trace", None),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(InvalidArgument, match=field):
@@ -347,6 +348,66 @@ class TestSolveConfig:
         ref, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
         assert res.status == CONVERGED
         assert abs(res.bl_constant - ref.bl_constant) <= 1e-9 * ref.bl_constant
+
+
+def _run_at(level: str, datum: BLDatum, solver: str):
+    if solver == "rgd":
+        return solve_rgd(datum, RgdConfig(trace=level))
+    return solve_fixed_point(datum, SolveConfig(solver=solver, trace=level))
+
+
+class TestTraceLevels:
+    """A summary trace computes X's spectrum only where a stop or mu decision
+    needs it, on the bound the Thompson steps give; both levels run the same
+    iterates. regularized restarts mu on most FEASIBLE_SHAPES and on every
+    row of the crafted datum, where the condition test also fires."""
+
+    CASES = (
+        [(i, s) for i in range(len(FEASIBLE_SHAPES)) for s in SOLVERS + ("rgd",)]
+        + [("crafted", s) for s in SOLVERS]  # RGD overflows there, as F is unbounded below
+        + [(c, s) for c in (1e-3, 1e3) for s in SOLVERS + ("rgd",)]
+    )
+
+    @staticmethod
+    def datum(case) -> BLDatum:
+        if case == "crafted":
+            return crafted_infeasible_datum()
+        return feasible_datum(case) if isinstance(case, int) else _young_scaled(case)
+
+    @pytest.mark.parametrize("case, solver", CASES, ids=[f"{c}-{s}" for c, s in CASES])
+    def test_summary_matches_full(self, monkeypatch, case, solver):
+        datum = self.datum(case)
+        calls = TestOneEvaluationPerIterate.count(monkeypatch, "eigenvalues", _Whitened)
+        full, full_trace = _run_at("full", datum, solver)
+        assert calls[0] == len(full_trace.rows)
+        calls[0] = 0
+        res, trace = _run_at("summary", datum, solver)
+        if case != "crafted":
+            assert calls[0] <= len(trace.mu_events) + res.iterations / 10
+        assert (res.status, res.iterations, res.F_value, res.residual, res.grad_norm) == (
+            full.status, full.iterations, full.F_value, full.residual, full.grad_norm)
+        assert res.X_star.a.tobytes() == full.X_star.a.tobytes()
+        assert trace.mu_events == full_trace.mu_events
+        always = ["F", "F_mu", "thompson_step"] + (["grad_norm"] if solver == "rgd" else [])
+        for name in trace.HEADER[:-1]:  # all but time_ns
+            ours, theirs = np.array(trace.column(name)), np.array(full_trace.column(name))
+            known = np.ones(len(ours), bool) if name in always else ~np.isnan(ours)
+            assert np.array_equal(ours[known], theirs[known], equal_nan=True), name
+        assert not np.isnan(trace.rows[0].min_eig)
+
+    @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
+    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    def test_steps_bound_the_spectrum(self, i, solver):
+        # the invariant the summary level rests on: the Thompson length of a
+        # step bounds how far each extreme eigenvalue moves in log scale
+        if solver == "rgd":
+            _, trace = solve_rgd(feasible_datum(i), RgdConfig(max_iter=300, trace="full"))
+        else:
+            _, trace = solve_fixed_point(feasible_datum(i), SolveConfig(solver=solver, trace="full"))
+        for prev, row in zip(trace.rows, trace.rows[1:]):
+            grow = math.exp(row.thompson_step)
+            assert row.min_eig >= prev.min_eig / grow * (1.0 - 1e-12)
+            assert row.max_eig <= prev.max_eig * grow * (1.0 + 1e-12)
 
 
 _YOUNG, _I2 = gen_young(), SpdMatrix.identity(2)
