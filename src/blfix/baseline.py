@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._util import check_nonnegative
 from .datum import BLDatum
-from .matcore import SpdMatrix, sym_eig
+from .matcore import SpdMatrix, _congruence, sym_eig
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
 from .solve import CONVERGED, IterTrace, SolveResult, _check_settings, _drive, _Whitened
 
@@ -45,9 +44,7 @@ def riem_grad(datum: BLDatum, x: SpdMatrix) -> np.ndarray:
 
 def riem_grad_norm(x: SpdMatrix, xi: np.ndarray) -> float:
     """sqrt(trace(X^{-1} xi X^{-1} xi)), the metric norm of a tangent vector."""
-    w = scipy.linalg.solve_triangular(x.chol, xi, lower=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(x.chol, w.T, lower=True, check_finite=False)
-    return float(np.linalg.norm(w))
+    return float(np.linalg.norm(_congruence(x.chol, xi)))
 
 
 def rgd_step(datum: BLDatum, x: SpdMatrix, eta: float) -> SpdMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import atomic_write_text, read_json
-from .errors import InvalidShape, ParseError, ShapeMismatch, TooLarge
+from .errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
 
 RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
 SCALING_TOL = 1e-10
@@ -189,9 +189,11 @@ def gen_young() -> BLDatum:
 def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
     """Random datum with standard normal maps and uniform weights d/(m*dprime).
 
-    Deterministic for a given seed. Weights are chosen so the scaling condition
-    holds exactly; any rank-deficient draw is regenerated.
+    Deterministic for a given seed, a nonnegative integer. Weights are chosen so
+    the scaling condition holds exactly; any rank-deficient draw is regenerated.
     """
+    if seed < 0:
+        raise InvalidArgument(f"seed must be a nonnegative integer, got {seed}")
     if d < 1 or dprime < 1 or m < 1:
         raise InvalidShape("need d >= 1, dprime >= 1 and m >= 1")
     if dprime > d:

@@ -1,8 +1,9 @@
 """Dense symmetric / positive definite kernels that the rest of the package builds on.
 
-All inverses are realized through Cholesky solves; an explicit inverse matrix is
-formed only when it is itself the requested result. Matrices are real symmetric,
-dense, and desk scale (dimensions up to a few dozen).
+All inverses are realized as BLAS dtrsm solves against a cached Cholesky factor
+(LAPACK's triangular solve stalls at two OpenBLAS threads); an explicit inverse
+is formed only when it is itself the requested result. Matrices are real
+symmetric, dense, and desk scale (dimensions up to a few dozen).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from ._util import atomic_write_text, read_json
 from .errors import (
@@ -104,12 +105,18 @@ def log_det(x: SpdMatrix) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(x.chol))))
 
 
+def _congruence(chol: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """L^{-1} a L^{-T} for a lower triangular L and a symmetric a."""
+    return dtrsm(1.0, chol, dtrsm(1.0, chol, a, lower=1).T, lower=1)
+
+
 def spd_solve(x: SpdMatrix, b) -> np.ndarray:
     """Solve x @ s = b using the cached Cholesky factor."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != x.n:
         raise DimensionMismatch(f"rhs has {b.shape[0]} rows, matrix is {x.n}x{x.n}")
-    return scipy.linalg.cho_solve((x.chol, True), b, check_finite=False)
+    s = dtrsm(1.0, x.chol, dtrsm(1.0, x.chol, b.reshape(x.n, -1), lower=1), lower=1, trans_a=1)
+    return s.reshape(b.shape)  # the two solves LAPACK's dpotrs makes
 
 
 def spd_inverse(x: SpdMatrix) -> np.ndarray:
@@ -145,8 +152,7 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
     """
     if x.n != y.n:
         raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
-    w = scipy.linalg.solve_triangular(y.chol, x.a, lower=True, check_finite=False)
-    w = scipy.linalg.solve_triangular(y.chol, w.T, lower=True, check_finite=False)
+    w = _congruence(y.chol, x.a)
     s = 0.5 * (w + w.T)
     lam = float(np.linalg.eigvalsh(s)[-1]) if np.all(np.isfinite(s)) else math.inf
     if not 0.0 < lam < math.inf:

@@ -312,7 +312,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     residual is the row's `trace.residual` column and whose grad_norm is
     taken there. After the gate numpy raises on overflow and on invalid
     operations, so for every solver a failed Cholesky ends the run as a
-    CholeskyFailure and an overflow as a StepFailure, with the iteration index.
+    CholeskyFailure and an overflow as a StepFailure, with the iteration index,
+    whether in the loop or in building the result from the last iterate.
 
     Each step_len is an exact Thompson length, so if eig(X_r) lies in [lo, hi]
     and the steps since r sum to D, eig(X_k) lies in [lo e^-D, hi e^D]: each
@@ -331,8 +332,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     with np.errstate(over="raise", invalid="raise"):
         x = _Whitened(datum, x0)
         t0 = time.perf_counter_ns()
-        for k in range(max_iter + 1):
-            try:
+        try:
+            for k in range(max_iter + 1):
                 if k:
                     x = step(x)
                     pad = x.step_len + SPECTRUM_PAD
@@ -341,25 +342,25 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 if full or not k:
                     x.spectrum()
                 f_mu, grad_norm, status = check(k, x)
-            except CholeskyFailure as exc:
-                raise CholeskyFailure(f"iteration {k}: {exc}") from exc
-            except FloatingPointError as exc:
-                raise StepFailure(f"iteration {k}: {exc}") from exc
-            trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range,
-                                       time.perf_counter_ns() - t0))
-            if status is not None:
-                break
-        status = status or MAX_ITER
-        result = SolveResult(
-            X_star=SpdMatrix._from_factor(x.t),
-            bl_constant=bl_constant_from_F(x.value),
-            F_value=x.value,
-            iterations=len(trace.rows) - 1,
-            converged=status == CONVERGED,
-            residual=getattr(trace.rows[-1], trace.residual),
-            grad_norm=sym_op_norm(x.gradient),
-            status=status,
-        )
+                trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range,
+                                           time.perf_counter_ns() - t0))
+                if status is not None:
+                    break
+            status = status or MAX_ITER
+            result = SolveResult(
+                X_star=SpdMatrix._from_factor(x.t),
+                bl_constant=bl_constant_from_F(x.value),
+                F_value=x.value,
+                iterations=len(trace.rows) - 1,
+                converged=status == CONVERGED,
+                residual=getattr(trace.rows[-1], trace.residual),
+                grad_norm=sym_op_norm(x.gradient),
+                status=status,
+            )
+        except CholeskyFailure as exc:
+            raise CholeskyFailure(f"iteration {k}: {exc}") from exc
+        except FloatingPointError as exc:
+            raise StepFailure(f"iteration {k}: {exc}") from exc
         return result, trace
 
 

@@ -152,6 +152,12 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["result"]["iterations"] == 1
 
+    def test_result_overflow_exits_1(self, capsys, young_path, tmp_path):
+        x0 = str(tmp_path / "x0.json")
+        save_matrix(SpdMatrix(np.diag([1e-320, 1.0])), x0)
+        err = assert_error_exit(capsys, "solve", young_path, "--x0", x0)
+        assert err == "blfix: error: iteration 1: overflow encountered in matmul\n"
+
     def test_trace_written(self, capsys, young_path, tmp_path):
         trace = str(tmp_path / "t.csv")
         code, _ = run_cli(capsys, "solve", young_path, "--solver", "g",
@@ -399,6 +405,16 @@ class TestUsage:
     def test_empty_random_shape_exits_1(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
         assert_error_exit(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--seed", "-1"],
+        ["bench", "--d", "2", "--dprime", "1", "--m", "3", "--seed", "-1"],
+    ], ids=["gen", "bench"])
+    def test_negative_seed_exits_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        err = assert_error_exit(capsys, *argv)
+        assert err == "blfix: error: seed must be a nonnegative integer, got -1\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("args, field", [
         (["--solver", "g", "--tol", "nan"], "tol"),

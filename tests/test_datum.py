@@ -22,7 +22,7 @@ from blfix.datum import (
     validate,
     _ranks,
 )
-from blfix.errors import InvalidShape, ParseError, ShapeMismatch, TooLarge
+from blfix.errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
 
 from conftest import FEASIBLE_SHAPES
 
@@ -226,6 +226,10 @@ class TestGenerators:
     def test_random_rejects_dprime_too_large(self):
         with pytest.raises(InvalidShape):
             gen_random(2, 3, 4, 0)
+
+    def test_random_rejects_negative_seed(self):
+        with pytest.raises(InvalidArgument, match="seed"):
+            gen_random(4, 2, 4, -1)
 
     def test_random_deterministic(self):
         assert gen_random(4, 2, 4, 7) == gen_random(4, 2, 4, 7)

@@ -3,7 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from blfix.baseline import riem_grad_norm
+from blfix.cli import main
+from blfix.cone import hilbert, snyder_bound, thompson
+from blfix.datum import gen_young
 from blfix.errors import (
     CholeskyFailure,
     DimensionMismatch,
@@ -23,6 +28,9 @@ from blfix.matcore import (
     sym_eig,
     sym_op_norm,
 )
+
+from blfix.objective import eval_F, recover_Z
+from blfix.solve import contraction_diagnostic
 
 from conftest import rand_spd, rand_sym
 
@@ -210,3 +218,81 @@ class TestMatrixJson:
         path.write_text('{"n": 2, "data": [[1.0,')
         with pytest.raises(ParseError, match="line"):
             load_matrix(str(path))
+
+
+# --- the LAPACK route the BLAS triangular solves replaced, kept as an oracle ---
+
+
+def _congruence_oracle(chol, a):
+    w = scipy.linalg.solve_triangular(chol, a, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(chol, w.T, lower=True, check_finite=False)
+
+
+def max_gen_eig_oracle(x, y) -> float:
+    w = _congruence_oracle(y.chol, x.a)
+    return float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+
+
+def riem_grad_norm_oracle(x, xi) -> float:
+    return float(np.linalg.norm(_congruence_oracle(x.chol, xi)))
+
+
+def spd_solve_oracle(x, b):
+    return scipy.linalg.cho_solve((x.chol, True), b, check_finite=False)
+
+
+def spd_inverse_oracle(x):
+    inv = spd_solve_oracle(x, np.eye(x.n))
+    return 0.5 * (inv + inv.T)
+
+
+class TestTriangularSolveRoute:
+    """spd_solve and spd_inverse make the two solves LAPACK's dpotrs makes, so
+    they keep its bits at every size. The congruence L^{-1} A L^{-T} keeps
+    dtrtrs's bits from n = 2 on; at n = 1, BLAS multiplies by the reciprocal of
+    the diagonal where dtrtrs divides, a few ulp apart."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_the_lapack_oracle(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for rep in range(6):
+            a = rng.standard_normal((n, n))
+            y = SpdMatrix._from_factor(a) if rep % 2 else rand_spd(rng, n)
+            x, xi = rand_spd(rng, n), rand_sym(rng, n)
+            b, v = rng.standard_normal((n, 3)), rng.standard_normal(n)
+            assert np.array_equal(spd_solve(y, b), spd_solve_oracle(y, b))
+            assert np.array_equal(spd_solve(y, v), spd_solve_oracle(y, v))
+            assert spd_solve(y, v).shape == (n,)
+            assert np.array_equal(spd_inverse(y), spd_inverse_oracle(y))
+            pairs = [(max_gen_eig(x, y), max_gen_eig_oracle(x, y)),
+                     (riem_grad_norm(y, xi), riem_grad_norm_oracle(y, xi))]
+            for got, want in pairs:
+                if n == 1:
+                    assert abs(got - want) <= 4 * np.spacing(want)
+                else:
+                    assert got == want
+
+    def test_no_lapack_triangular_solve(self, monkeypatch, capsys, tmp_path):
+        def boom(*args, **kwargs):
+            raise AssertionError("the LAPACK triangular solve was reached")
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", boom)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", boom)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", boom)
+        rng = np.random.default_rng(9)
+        x, y = rand_spd(rng, 2), rand_spd(rng, 2)
+        datum = gen_young()
+        thompson(x, y)
+        hilbert(x, y)
+        snyder_bound(x, y, 2)
+        contraction_diagnostic(datum, x, y, 0.1)
+        riem_grad_norm(x, rand_sym(rng, 2))
+        spd_solve(x, np.eye(2))
+        spd_inverse(x)
+        eval_F(datum, x)
+        recover_Z(datum, x)
+        paths = [str(tmp_path / "x.json"), str(tmp_path / "y.json")]
+        save_matrix(rand_spd(rng, 8), paths[0])
+        save_matrix(rand_spd(rng, 8), paths[1])
+        assert main(["metric", "thompson", *paths]) == 0
+        assert float(capsys.readouterr().out) > 0.0

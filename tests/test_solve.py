@@ -13,7 +13,7 @@ import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
-from blfix.errors import InvalidArgument, ValidationFailed
+from blfix.errors import InvalidArgument, StepFailure, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -269,6 +269,14 @@ class TestSolveFixedPoint:
         )
         assert res.iterations == 1
         assert np.allclose(res.X_star.a, YOUNG_XSTAR.a, atol=1e-12)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_result_overflow_names_the_iteration(self, solver):
+        # the run stops at iteration 1 on its condition number, and the
+        # gradient that only the result forms overflows there
+        x0 = SpdMatrix(np.diag([1e-320, 1.0]))
+        with pytest.raises(StepFailure, match=r"^iteration 1: overflow encountered in matmul$"):
+            solve_fixed_point(gen_young(), SolveConfig(solver=solver, x0=x0))
 
     def test_mu_override_and_events(self):
         cfg = SolveConfig(solver="regularized", mu_override=0.05, max_iter=50)
