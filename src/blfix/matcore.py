@@ -47,7 +47,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """Symmetric positive definite matrix, validated by Cholesky on construction.
 
-    Input is symmetrized as (A + A^T)/2 first, which removes the roundoff drift
+    Input is symmetrized as A/2 + A^T/2 first, which removes the roundoff drift
     the iteration maps would otherwise accumulate. The Cholesky factor is cached
     and reused by every solve against this matrix. Instances are immutable and
     safe to share between threads.
@@ -57,7 +57,7 @@ class SpdMatrix:
 
     def __init__(self, entries):
         a = _as_square(entries)
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # (a + a.T) / 2 can overflow
         chol = cholesky(a)
         a.setflags(write=False)
         chol.setflags(write=False)
@@ -72,7 +72,7 @@ class SpdMatrix:
         if not np.all(np.diag(r)):
             raise CholeskyFailure("matrix is not positive definite")
         x = cls.__new__(cls)
-        x.a, x.chol = 0.5 * (a + a.T), r.T * np.sign(np.diag(r))
+        x.a, x.chol = 0.5 * a + 0.5 * a.T, r.T * np.sign(np.diag(r))
         x.a.setflags(write=False)
         x.chol.setflags(write=False)
         return x
@@ -153,7 +153,7 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
     if x.n != y.n:
         raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
     w = _congruence(y.chol, x.a)
-    s = 0.5 * (w + w.T)
+    s = 0.5 * w + 0.5 * w.T
     lam = float(np.linalg.eigvalsh(s)[-1]) if np.all(np.isfinite(s)) else math.inf
     if not 0.0 < lam < math.inf:
         raise InvalidArgument(f"generalized eigenvalue {lam!r}: the quotient leaves the doubles")

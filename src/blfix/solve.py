@@ -23,7 +23,6 @@ bl_constant is still correct.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -138,9 +137,9 @@ class IterTrace:
 
 
 class _Whitened:
-    """An iterate X = T T^T, and the datum in the coordinates where X is the
-    identity: there the maps are M_j = L_j T, and `evaluate` makes one batched
-    call per stage for all m maps,
+    """A run's one iterate X = T T^T, which each step moves in place, and the
+    datum in the coordinates where X is the identity: there the maps are
+    M_j = L_j T, and `evaluate` makes one batched call per stage for all m maps,
 
         M_j M_j^T = C_j C_j^T,   W_j = C_j^{-1} M_j,   S = sum_j w_j W_j^T W_j,
         F = sum_j w_j 2 sum log diag C_j - 2 log|det T|,
@@ -167,7 +166,7 @@ class _Whitened:
         rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
         self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
                           np.tile(rows, datum.dprime).ravel())
-        self.blocks = np.zeros((rows.size, rows.size), order="F")  # shared by the iterates
+        self.blocks = np.zeros((rows.size, rows.size), order="F")
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
         self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
@@ -199,17 +198,17 @@ class _Whitened:
         self.eig_range = lo, hi = float(eigs[0]), float(eigs[-1])
         self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
 
-    def extremes(self, hi_cap: float, cond_cap: float) -> tuple[float, float]:
+    def extremes(self, hi_cap: float) -> tuple[float, float]:
         """`eig_range`, computed unless the bounds prove hi <= hi_cap and
-        hi/lo <= cond_cap / 2 (a computed lo's roundoff grows with hi/lo);
+        hi/lo <= BLOWUP_COND / 2 (a computed lo's roundoff grows with hi/lo);
         else it may stay nan, which fails every comparison."""
         if math.isnan(self.eig_range[0]) and (self.log_hi > math.log(hi_cap)
-                                              or self.log_hi - self.log_lo > math.log(0.5 * cond_cap)):
+                                              or self.log_hi - self.log_lo > math.log(0.5 * BLOWUP_COND)):
             self.spectrum()
         return self.eig_range
 
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
-        """The image of this evaluated iterate under the solver's map.
+        """Move this evaluated iterate, in place, to its image under the solver's map.
 
         Here G(X) = S^{-1} and G_mu(X) = (S + mu T^T T)^{-1}; with that matrix
         factored as R R^T, the next T is T R^{-T}. The Thompson metric is
@@ -219,25 +218,24 @@ class _Whitened:
         s = self.s + mu * (self.t.T @ self.t) if solver == "regularized" else self.s
         r = cholesky(s)
         lam = np.linalg.eigvalsh(s)
-        nxt = copy.copy(self)
-        nxt.t, nxt.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
-        nxt.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
+        self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
+        self.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
         if solver == "normalized":
-            shift = math.log(np.vdot(nxt.t, nxt.t))  # the log of the trace of T T^T
-            nxt.t, nxt.t_inv = nxt.t * math.exp(-0.5 * shift), nxt.t_inv * math.exp(0.5 * shift)
-            nxt.log_det_t -= 0.5 * len(s) * shift
-        nxt.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
-        return nxt
+            shift = math.log(np.vdot(self.t, self.t))  # the log of the trace of T T^T
+            self.t, self.t_inv = self.t * math.exp(-0.5 * shift), self.t_inv * math.exp(0.5 * shift)
+            self.log_det_t -= 0.5 * len(s) * shift
+        self.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
+        return self
 
     def descend(self, lam: np.ndarray, vecs: np.ndarray, eta: float) -> "_Whitened":
-        """RGD's step Exp_X(-eta xi) from this evaluated iterate, where
-        T^{-1} xi T^{-T} = S - I = V Lam V^T: T <- T V exp(-eta Lam / 2), a step
-        of Thompson length eta max |Lam|."""
-        nxt, half = copy.copy(self), np.exp(-0.5 * eta * lam)
-        nxt.t, nxt.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
-        nxt.log_det_t = self.log_det_t - 0.5 * eta * float(np.sum(lam))
-        nxt.step_len = eta * float(np.max(np.abs(lam)))
-        return nxt
+        """Move this evaluated iterate, in place, by RGD's step Exp_X(-eta xi):
+        with T^{-1} xi T^{-T} = S - I = V Lam V^T, T <- T V exp(-eta Lam / 2), a
+        step of Thompson length eta max |Lam|."""
+        half = np.exp(-0.5 * eta * lam)
+        self.t, self.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
+        self.log_det_t -= 0.5 * eta * float(np.sum(lam))
+        self.step_len = eta * float(np.max(np.abs(lam)))
+        return self
 
 
 def _map_step(datum: BLDatum, x: SpdMatrix, solver: str, mu: float = 0.0) -> SpdMatrix:
@@ -303,8 +301,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     once, check it, record it, step.
 
     The gate raises ValidationFailed, naming every hard check, unless the
-    datum passes them all. `step(x)` returns the next iterate, not yet
-    evaluated, carrying the length of the step that reached it.
+    datum passes them all. `step(x)` moves x to the next iterate, not yet
+    evaluated, which carries the length of the step that reached it.
     `check(k, x)`, given the evaluated iterate k, returns the trace row's F_mu
     and grad_norm plus a stop status, or None to go on; after max_iter steps
     the run ends as MaxIter. The one evaluation of an iterate feeds its check,
@@ -383,14 +381,14 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     def check(k, x):
         nonlocal mu, r_base
         if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
-            r_base = max(1.0, float(x0.eigenvalues()[-1]))
+            r_base = max(1.0, x.eig_range[1])
             mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
             trace.mu_events.append((0, mu))
         f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
         grad_norm = math.nan
         if full:
             grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
-        lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf, BLOWUP_COND if k else math.inf)
+        lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi
             mu = choose_mu(config.epsilon, r_base, datum.d)

@@ -292,6 +292,17 @@ class TestMetric:
         assert float(out) == 0.0
 
     @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_largest_double(self, capsys, tmp_path):
+        x, eye = str(tmp_path / "x.json"), str(tmp_path / "eye.json")
+        with open(x, "w") as f:
+            json.dump({"n": 2, "data": [[1e308, 0.0], [0.0, 1.0]]}, f)
+        save_matrix(SpdMatrix.identity(2), eye)
+        for y, want in ((x, "0.0"), (eye, "709.1962086421661")):
+            code = main(["metric", "thompson", x, y])
+            captured = capsys.readouterr()
+            assert (code, captured.out.strip(), captured.err) == (0, want, "")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("which", ["thompson", "hilbert"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_quotient_outside_the_doubles_exits_1(self, capsys, tmp_path, which, n):

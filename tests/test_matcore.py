@@ -40,6 +40,16 @@ class TestConstruction:
         x = SpdMatrix([[2.0, 1.0 + 1e-12], [1.0 - 1e-12, 2.0]])
         assert x.a[0, 1] == x.a[1, 0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_symmetrize_near_the_largest_double(self):
+        # (A + A^T)/2 would overflow to inf here; A/2 + A^T/2 stays exact
+        a = np.diag([9e307, 1.0])
+        assert np.array_equal(SpdMatrix(a).a, a)
+        assert np.array_equal(SpdMatrix._from_factor(np.sqrt(a)).a, np.sqrt(a) @ np.sqrt(a))
+        x = SpdMatrix(np.diag([1e308, 1.0]))
+        assert thompson(x, x) == 0.0
+        assert thompson(x, SpdMatrix.identity(2)) == 709.1962086421661
+
     def test_spd_rejects_indefinite(self):
         with pytest.raises(CholeskyFailure):
             SpdMatrix([[1.0, 2.0], [2.0, 1.0]])

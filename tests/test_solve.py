@@ -21,6 +21,7 @@ from blfix.solve import (
     INFEASIBILITY_SUSPECTED,
     MAX_ITER,
     SOLVERS,
+    TRACE_LEVELS,
     SolveConfig,
     _Whitened,
     choose_mu,
@@ -135,9 +136,8 @@ class TestWhitenedKernel:
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_step_length_is_thompson(self, i):
         datum, x = self.point(i)
-        frame = _Whitened(datum, x).evaluate()
         for solver in SOLVERS:
-            moved = frame.advance(solver, self.MU)
+            moved = _Whitened(datum, x).evaluate().advance(solver, self.MU)
             assert abs(moved.step_len - thompson(SpdMatrix(moved.t @ moved.t.T), x)) <= 1e-12
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
@@ -182,7 +182,7 @@ class TestWhitenedKernel:
         vals, v = np.linalg.eigh(x.a)
         root, inv_root = (v * np.sqrt(vals)) @ v.T, (v / np.sqrt(vals)) @ v.T
         for eta in (1e-1, 1e-3):
-            moved = frame.descend(lam, vecs, eta)
+            moved = _Whitened(datum, x).evaluate().descend(lam, vecs, eta)
             got = moved.t @ moved.t.T
             want = root @ scipy.linalg.expm(-eta * inv_root @ xi @ inv_root) @ root
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -277,6 +277,19 @@ class TestSolveFixedPoint:
         x0 = SpdMatrix(np.diag([1e-320, 1.0]))
         with pytest.raises(StepFailure, match=r"^iteration 1: overflow encountered in matmul$"):
             solve_fixed_point(gen_young(), SolveConfig(solver=solver, x0=x0))
+
+    @pytest.mark.parametrize("mu_override", [None, 1e-8], ids=["adaptive", "mu_override"])
+    def test_regularized_reads_r_base_from_the_loop(self, monkeypatch, mu_override):
+        # the loop has computed iterate 0's spectrum, so mu needs no eigensolve of x0
+        def refuse(self):
+            raise AssertionError("SpdMatrix.eigenvalues called")
+
+        monkeypatch.setattr(SpdMatrix, "eigenvalues", refuse)
+        cfg = SolveConfig(solver="regularized", mu_override=mu_override, x0=SpdMatrix(7.0 * np.eye(2)))
+        res, trace = solve_fixed_point(gen_young(), cfg)
+        assert res.status == CONVERGED
+        mu = choose_mu(1e-6, 7.0, 2) if mu_override is None else mu_override
+        assert trace.mu_events[0][0] == 0 and trace.mu_events[0][1] == pytest.approx(mu, rel=1e-12)
 
     def test_mu_override_and_events(self):
         cfg = SolveConfig(solver="regularized", mu_override=0.05, max_iter=50)
@@ -737,3 +750,18 @@ class TestOneEvaluationPerIterate:
         assert result.iterations > 1
         assert evals[0] == result.iterations + 1
         assert [calls[0] for calls in references] == [0, 0, 0]
+
+    @pytest.mark.parametrize("level", TRACE_LEVELS)
+    @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
+    def test_one_iterate_object_per_run(self, monkeypatch, solver, level):
+        # the steps move the run's one _Whitened in place
+        seen, original = [], _Whitened.evaluate
+
+        def recording(self):
+            seen.append(self)
+            return original(self)
+
+        monkeypatch.setattr(_Whitened, "evaluate", recording)
+        result, _ = _run_at(level, feasible_datum(3), solver)
+        assert result.iterations > 1 and len(seen) == result.iterations + 1
+        assert all(x is seen[0] for x in seen)
