@@ -21,7 +21,7 @@ from .matcore import SpdMatrix, _congruence, sym_eig
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
 from .solve import CONVERGED, IterTrace, SolveResult, _check_settings, _drive, _Whitened
 
-STEP_SIZE = 0.1  # every step's eta; the certificate in solve_rgd's docstring needs eta <= 0.1
+STEP_SIZE = 0.8  # every step's eta; solve_rgd's certificate holds for eta e^eta < 2, eta < 0.8526
 
 
 @dataclass
@@ -62,9 +62,9 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
     by at most sum_i h(lam_i), h(lam) = (1 + lam)(e^{-eta lam} - 1) + eta lam,
     as log det B <= tr B - d' and tr S = sum_j w_j d'. As 0 <= S <= (d/d') I,
     every lam_i lies in [-1, d/d' - 1], and there h(lam) <= -eta lam^2 c with
-    c = min((1 - eta)/(1 + eta lam), 1 - eta e^eta / 2). So at eta = 0.1 each
-    step lowers F by at least 1e-4 * eta * |S - I|_F^2 if d <= 89990 d'
-    (README, "Whitened coordinates").
+    c = min((1 - eta)/(1 + eta lam), 1 - eta e^eta / 2), positive while
+    eta e^eta < 2. So at eta = 0.8 each step lowers F by at least
+    1e-4 * eta * |S - I|_F^2 if d <= 2499 d' (README, "Whitened coordinates").
 
     Raises ValidationFailed unless the datum passes the hard checks, with the
     fixed-point solvers' message. An overflowing iterate raises StepFailure

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import blfix.matcore
 from blfix.baseline import riem_grad_norm
 from blfix.cli import main
 from blfix.cone import hilbert, snyder_bound, thompson
 from blfix.datum import gen_young
 from blfix.errors import (
     CholeskyFailure,
+    ConvergenceFailure,
     DimensionMismatch,
     InvalidArgument,
     ParseError,
@@ -141,13 +143,26 @@ class TestSymEig:
         assert np.allclose(vals, [-1 / 3, 1 / 3])
 
     def test_orthonormal_and_reconstructs(self):
+        # against numpy's eigh, which runs the same LAPACK routine through its own wrapper
         rng = np.random.default_rng(2)
-        for i in range(30):
-            s = rand_sym(rng, 2 + i % 6)
+        for i in range(60):
+            n = 1 + i % 12
+            s = rand_sym(rng, n)
             vals, vecs = sym_eig(s)
-            assert np.linalg.norm(vecs.T @ vecs - np.eye(len(s))) <= 1e-10
-            assert np.allclose((vecs * vals) @ vecs.T, s, atol=1e-10)
+            want = np.linalg.eigvalsh(s)
+            assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
+            assert np.abs((vecs * vals) @ vecs.T - s).max() <= 1e-12 * np.abs(s).max()
             assert np.all(np.diff(vals) >= 0)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(a, compute_v, lower):
+            n = len(a)
+            return np.zeros(n), np.eye(n), 1
+
+        monkeypatch.setattr(blfix.matcore, "dsyevd", failing)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            sym_eig(np.eye(3))
 
 
 class TestMaxGenEig:
@@ -212,6 +227,17 @@ class TestMatrixJson:
         obj = {"n": 2, "data": [[1.0, 0.5 + 4e-9], [0.5 - 4e-9, 1.0]]}
         x = matrix_from_json_obj(obj)
         assert x.a[0, 1] == x.a[1, 0]
+
+    def test_asymmetry_relative_to_the_largest_entry(self):
+        # one ulp of asymmetry at scale 1e10 is 2e-6 absolute
+        x = matrix_from_json_obj({"n": 2, "data": [[2e10, 1e10], [1e10 + 2e-6, 2e10]]})
+        assert x.a[0, 1] == x.a[1, 0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_asymmetry_near_the_largest_double(self):
+        obj = {"n": 2, "data": [[1.0, 1.5e308], [-1.5e308, 1.0]]}  # a - a.T overflows
+        with pytest.raises(ParseError, match="asymmetric"):
+            matrix_from_json_obj(obj)
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

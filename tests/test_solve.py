@@ -155,20 +155,25 @@ class TestWhitenedKernel:
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES) + 2))
     def test_rgd_step_certificate(self, i):
-        # solve_rgd's bound: a step of 0.1 lowers F by at least 1e-4 * 0.1 * |S - I|_F^2,
-        # with every eigenvalue of S - I in [-1, d/d' - 1]; beyond the feasible shapes,
-        # d/d' = 25, and a common kernel, where the eigenvalues reach both ends
+        # solve_rgd's bound: a step of eta = STEP_SIZE lowers F by at least
+        # eta * c(eta, d/d') * |S - I|_F^2, with every eigenvalue of S - I in
+        # [-1, d/d' - 1]; beyond the feasible shapes, d/d' = 25, and a common
+        # kernel, where the eigenvalues reach both ends
+        eta = blfix.baseline.STEP_SIZE
+        assert eta * math.exp(eta) < 2.0  # c > 0 for every d/d'
         if i < len(FEASIBLE_SHAPES):
             datum = feasible_datum(i)
         elif i == len(FEASIBLE_SHAPES):
             datum = gen_random(25, 1, 30, 0)
         else:
             datum = BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)
+        r = datum.d / datum.dprime
+        c = min((1.0 - eta) / (1.0 + eta * (r - 1.0)), 1.0 - eta * math.exp(eta) / 2.0)
         for x in (SpdMatrix.identity(datum.d), rand_spd(np.random.default_rng(100 + i), datum.d)):
             lam = sym_eig(_Whitened(datum, x).evaluate().s - np.eye(datum.d))[0]
-            assert -1.0 - 1e-12 <= lam[0] and lam[-1] <= datum.d / datum.dprime - 1.0 + 1e-12
-            change = eval_F(datum, rgd_step(datum, x, 0.1)).value - eval_F(datum, x).value
-            assert change <= -1e-4 * 0.1 * float(lam @ lam)
+            assert -1.0 - 1e-12 <= lam[0] and lam[-1] <= r - 1.0 + 1e-12
+            change = eval_F(datum, rgd_step(datum, x, eta)).value - eval_F(datum, x).value
+            assert change <= -eta * c * float(lam @ lam)
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_rgd_step_is_exponential_map(self, i):
@@ -465,14 +470,28 @@ def _plain_F(datum: BLDatum) -> float:
     return res.F_value
 
 
+def _rgd_F(datum: BLDatum) -> float:
+    res, _ = solve_rgd(datum, RgdConfig())
+    assert res.status == CONVERGED
+    return res.F_value
+
+
 @functools.cache
 def _base_F(i: int) -> float:
     return _plain_F(feasible_datum(i))
 
 
-def _moved_F(i: int, transform) -> float:
+def _moved_F(i: int, transform, solve=_plain_F) -> float:
     datum = feasible_datum(i)
-    return _plain_F(BLDatum.from_maps([transform(L) for L in datum.maps], datum.weights))
+    return solve(BLDatum.from_maps([transform(L) for L in datum.maps], datum.weights))
+
+
+def _basis_change(d: int, seed: int, sv: list) -> tuple[np.ndarray, float]:
+    """A d x d matrix with singular values sv[:d], and log |det| of it."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (u * sv[:d]) @ v.T, float(np.sum(np.log(sv[:d])))
 
 
 def _young_scaled(c: float) -> BLDatum:
@@ -495,13 +514,27 @@ class TestSymmetries:
         sv=st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
     )
     def test_change_of_basis(self, i, seed, sv):
-        rng = np.random.default_rng(seed)
-        d = FEASIBLE_SHAPES[i][0]
-        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        a = (u * sv[:d]) @ v.T
-        log_det_a = float(np.sum(np.log(sv[:d])))
+        a, log_det_a = _basis_change(FEASIBLE_SHAPES[i][0], seed, sv)
         assert abs(_moved_F(i, lambda L: L @ a) - (_base_F(i) + 2 * log_det_a)) <= 1e-9
+
+    # RGD minimizes the same F, so it must move by the same amounts.
+
+    @settings(max_examples=15, deadline=None)
+    @given(i=st.sampled_from(SYMMETRY_SHAPES), log10_c=st.floats(-3.0, 3.0))
+    def test_rgd_scaling(self, i, log10_c):
+        c = 10.0**log10_c
+        d = FEASIBLE_SHAPES[i][0]
+        assert abs(_moved_F(i, lambda L: c * L, _rgd_F) - (_base_F(i) + 2 * d * math.log(c))) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        i=st.sampled_from(SYMMETRY_SHAPES),
+        seed=st.integers(0, 2**32 - 1),
+        sv=st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
+    )
+    def test_rgd_change_of_basis(self, i, seed, sv):
+        a, log_det_a = _basis_change(FEASIBLE_SHAPES[i][0], seed, sv)
+        assert abs(_moved_F(i, lambda L: L @ a, _rgd_F) - (_base_F(i) + 2 * log_det_a)) <= 1e-9
 
     # A known defect outside the domain above; the xfail must keep failing.
 
