@@ -1,9 +1,9 @@
 """Dense symmetric / positive definite kernels that the rest of the package builds on.
 
-All inverses are realized as BLAS dtrsm solves against a cached Cholesky factor
-(LAPACK's triangular solve stalls at two OpenBLAS threads); an explicit inverse
-is formed only when it is itself the requested result. Matrices are real
-symmetric, dense, and desk scale (dimensions up to a few dozen).
+Every inverse is a BLAS dtrsm solve against a cached Cholesky factor (LAPACK's
+triangular solve stalls at two OpenBLAS threads), formed explicitly only when it
+is the result; every eigenvalue comes from sym_eig's one LAPACK dsyevd call, whose
+failure is a ConvergenceFailure. Matrices are real symmetric, dense, desk scale.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class SpdMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.a)
+        return sym_eig(self.a, vectors=False)
 
     def trace(self) -> float:
         return float(np.trace(self.a))
@@ -126,22 +126,22 @@ def spd_inverse(x: SpdMatrix) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(s, vectors: bool = True):
     """Eigendecomposition of a symmetric matrix, by one LAPACK dsyevd call on its
-    lower triangle (numpy's eigh wrapper costs more than the call it wraps).
+    lower triangle (numpy's eigh and eigvalsh cost more than the call they wrap).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns), so that
-    s = V @ diag(vals) @ V.T.
+    s = V @ diag(vals) @ V.T; with vectors=False, the eigenvalues alone.
     """
-    vals, vecs, info = dsyevd(_mat(s), compute_v=1, lower=1)
+    vals, vecs, info = dsyevd(_mat(s), compute_v=int(vectors), lower=1)
     if info:
         raise ConvergenceFailure(f"symmetric eigensolver did not converge (dsyevd info {info})")
-    return vals, vecs
+    return (vals, vecs) if vectors else vals
 
 
 def sym_op_norm(s) -> float:
     """Operator (spectral) norm of a symmetric matrix: max |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(_mat(s)))))
+    return float(np.max(np.abs(sym_eig(s, vectors=False))))
 
 
 def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
@@ -155,7 +155,7 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
         raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
     w = _congruence(y.chol, x.a)
     s = 0.5 * w + 0.5 * w.T
-    lam = float(np.linalg.eigvalsh(s)[-1]) if np.all(np.isfinite(s)) else math.inf
+    lam = float(sym_eig(s, vectors=False)[-1]) if np.all(np.isfinite(s)) else math.inf
     if not 0.0 < lam < math.inf:
         raise InvalidArgument(f"generalized eigenvalue {lam!r}: the quotient leaves the doubles")
     return lam

@@ -34,8 +34,9 @@ from scipy.linalg.blas import dtrsm
 from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
 from .datum import BLDatum, validate
-from .errors import CholeskyFailure, DimensionMismatch, InvalidArgument, StepFailure, ValidationFailed
-from .matcore import SpdMatrix, cholesky, log_det, sym_op_norm
+from .errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
+                     ValidationFailed)
+from .matcore import SpdMatrix, cholesky, log_det, sym_eig, sym_op_norm
 from .objective import bl_constant_from_F, pre_inversion_sum
 
 CONVERGED = "Converged"
@@ -189,12 +190,9 @@ class _Whitened:
         g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
         return 0.5 * (g + g.T)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.t @ self.t.T)
-
     def spectrum(self) -> None:
         """Compute `eig_range` and rebase the bounds on it."""
-        eigs = self.eigenvalues()
+        eigs = sym_eig(self.t @ self.t.T, vectors=False)
         self.eig_range = lo, hi = float(eigs[0]), float(eigs[-1])
         self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
 
@@ -217,7 +215,7 @@ class _Whitened:
         """
         s = self.s + mu * (self.t.T @ self.t) if solver == "regularized" else self.s
         r = cholesky(s)
-        lam = np.linalg.eigvalsh(s)
+        lam = sym_eig(s, vectors=False)
         self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
         self.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
         if solver == "normalized":
@@ -309,9 +307,9 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     its row, the step from it and, for the last iterate, the result, whose
     residual is the row's `trace.residual` column and whose grad_norm is
     taken there. After the gate numpy raises on overflow and on invalid
-    operations, so for every solver a failed Cholesky ends the run as a
-    CholeskyFailure and an overflow as a StepFailure, with the iteration index,
-    whether in the loop or in building the result from the last iterate.
+    operations. For every solver a failed Cholesky or eigensolve ends the run as
+    a CholeskyFailure or ConvergenceFailure and an overflow as a StepFailure, with
+    the iteration index, in the loop or in building the result from the last one.
 
     Each step_len is an exact Thompson length, so if eig(X_r) lies in [lo, hi]
     and the steps since r sum to D, eig(X_k) lies in [lo e^-D, hi e^D]: each
@@ -355,8 +353,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 grad_norm=sym_op_norm(x.gradient),
                 status=status,
             )
-        except CholeskyFailure as exc:
-            raise CholeskyFailure(f"iteration {k}: {exc}") from exc
+        except (CholeskyFailure, ConvergenceFailure) as exc:
+            raise type(exc)(f"iteration {k}: {exc}") from exc
         except FloatingPointError as exc:
             raise StepFailure(f"iteration {k}: {exc}") from exc
         return result, trace

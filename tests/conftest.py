@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import scipy.linalg.lapack
 
 from blfix.datum import BLDatum, gen_random
 from blfix.matcore import SpdMatrix
@@ -52,3 +55,14 @@ def rand_spd_box(rng, n: int, lo: float, hi: float) -> SpdMatrix:
 def rand_sym(rng, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((n, n)) * scale
     return a + a.T
+
+
+def dsyevd_failing_on(call: int):
+    """LAPACK's dsyevd, except that its `call`-th call reports info = 1."""
+    calls = itertools.count(1)
+
+    def dsyevd(a, compute_v, lower):
+        vals, vecs, info = scipy.linalg.lapack.dsyevd(a, compute_v=compute_v, lower=lower)
+        return vals, vecs, 1 if next(calls) == call else info
+
+    return dsyevd

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,9 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
+import blfix.matcore
 from blfix.cli import main
 from blfix.datum import BLDatum, datum_to_json_obj, gen_random, gen_young, load_datum, save_datum
 from blfix.matcore import SpdMatrix, save_matrix
+
+from conftest import dsyevd_failing_on
 
 
 def _young_with(**fields) -> bytes:
@@ -157,6 +161,12 @@ class TestSolve:
         save_matrix(SpdMatrix(np.diag([1e-320, 1.0])), x0)
         err = assert_error_exit(capsys, "solve", young_path, "--x0", x0)
         assert err == "blfix: error: iteration 1: overflow encountered in matmul\n"
+
+    @pytest.mark.parametrize("solver", ["g", "rgd"])
+    def test_eigensolver_failure_exits_1(self, capsys, monkeypatch, young_path, solver):
+        monkeypatch.setattr(blfix.matcore, "dsyevd", dsyevd_failing_on(3))
+        err = assert_error_exit(capsys, "solve", young_path, "--solver", solver)
+        assert re.match(r"blfix: error: iteration \d+: symmetric eigensolver did not converge", err)
 
     def test_trace_written(self, capsys, young_path, tmp_path):
         trace = str(tmp_path / "t.csv")

@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg
 
 import blfix.matcore
-from blfix.baseline import riem_grad_norm
+from blfix.baseline import RgdConfig, riem_grad_norm, solve_rgd
 from blfix.cli import main
-from blfix.cone import hilbert, snyder_bound, thompson
-from blfix.datum import gen_young
+from blfix.cone import ConeBox, hilbert, in_box, schatten_norm, snyder_bound, thompson
+from blfix.datum import gen_young, save_datum
 from blfix.errors import (
     CholeskyFailure,
     ConvergenceFailure,
@@ -32,9 +32,9 @@ from blfix.matcore import (
 )
 
 from blfix.objective import eval_F, recover_Z
-from blfix.solve import contraction_diagnostic
+from blfix.solve import SOLVERS, TRACE_LEVELS, SolveConfig, contraction_diagnostic, solve_fixed_point
 
-from conftest import rand_spd, rand_sym
+from conftest import feasible_datum, rand_spd, rand_sym
 
 
 class TestConstruction:
@@ -143,17 +143,18 @@ class TestSymEig:
         assert np.allclose(vals, [-1 / 3, 1 / 3])
 
     def test_orthonormal_and_reconstructs(self):
-        # against numpy's eigh, which runs the same LAPACK routine through its own wrapper
+        # against numpy's eigvalsh, which runs the same LAPACK routine from numpy's
+        # own OpenBLAS build; from n = 33 on the two builds differ in the last bits
         rng = np.random.default_rng(2)
-        for i in range(60):
-            n = 1 + i % 12
+        for n in [1 + i % 12 for i in range(60)] + [33, 40, 60] * 3:
             s = rand_sym(rng, n)
             vals, vecs = sym_eig(s)
             want = np.linalg.eigvalsh(s)
-            assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
+            for got in (vals, sym_eig(s, vectors=False)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.all(np.diff(got) >= 0)
             assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
             assert np.abs((vecs * vals) @ vecs.T - s).max() <= 1e-12 * np.abs(s).max()
-            assert np.all(np.diff(vals) >= 0)
 
     def test_lapack_failure_raises(self, monkeypatch):
         def failing(a, compute_v, lower):
@@ -161,8 +162,41 @@ class TestSymEig:
             return np.zeros(n), np.eye(n), 1
 
         monkeypatch.setattr(blfix.matcore, "dsyevd", failing)
-        with pytest.raises(ConvergenceFailure, match="did not converge"):
-            sym_eig(np.eye(3))
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceFailure, match="did not converge"):
+                sym_eig(np.eye(3), vectors=vectors)
+
+    def test_no_numpy_eigensolver(self, monkeypatch, capsys, tmp_path):
+        # every spectrum in the package comes from sym_eig's one dsyevd call
+        def boom(*args, **kwargs):
+            raise AssertionError("a numpy eigensolver was reached")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, boom)
+        for datum in (gen_young(), feasible_datum(13)):
+            for level in TRACE_LEVELS:
+                for solver in SOLVERS:
+                    assert solve_fixed_point(datum, SolveConfig(solver=solver, trace=level))[0].converged
+                assert solve_rgd(datum, RgdConfig(trace=level))[0].converged
+        rng = np.random.default_rng(11)
+        x, y = rand_spd(rng, 3), rand_spd(rng, 3)
+        thompson(x, y)
+        hilbert(x, y)
+        snyder_bound(x, y, 2)
+        in_box(x, ConeBox(0.01, 100.0, 3))
+        schatten_norm(x, math.inf)
+        sym_op_norm(rand_sym(rng, 3))
+        contraction_diagnostic(gen_young(), rand_spd(rng, 2), rand_spd(rng, 2), 0.1)
+        x.eigenvalues()
+        paths = [str(tmp_path / name) for name in ("x.json", "y.json", "young.json", "trace.csv")]
+        save_matrix(x, paths[0])
+        save_matrix(y, paths[1])
+        save_datum(gen_young(), paths[2])
+        assert main(["metric", "hilbert", *paths[:2]]) == 0
+        assert main(["solve", paths[2], "--trace", paths[3]]) == 0
+        assert main(["bench", "--datum", paths[2], "--solvers", "g,gmu,gtilde,rgd",
+                     "--out-dir", str(tmp_path / "bench")]) == 0
+        capsys.readouterr()
 
 
 class TestMaxGenEig:
@@ -257,6 +291,8 @@ class TestMatrixJson:
 
 
 # --- the LAPACK route the BLAS triangular solves replaced, kept as an oracle ---
+# (max_gen_eig's eigenvalue comes from the dsyevd call the package makes, so
+# that only the triangular solves are compared)
 
 
 def _congruence_oracle(chol, a):
@@ -266,7 +302,9 @@ def _congruence_oracle(chol, a):
 
 def max_gen_eig_oracle(x, y) -> float:
     w = _congruence_oracle(y.chol, x.a)
-    return float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+    vals, _, info = scipy.linalg.lapack.dsyevd(0.5 * (w + w.T), compute_v=0, lower=1)
+    assert info == 0
+    return float(vals[-1])
 
 
 def riem_grad_norm_oracle(x, xi) -> float:

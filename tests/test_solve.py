@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blfix.baseline
+import blfix.matcore
 import blfix.objective
 import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
-from blfix.errors import InvalidArgument, StepFailure, ValidationFailed
+from blfix.errors import ConvergenceFailure, InvalidArgument, StepFailure, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -32,7 +33,7 @@ from blfix.solve import (
     step_G_tilde,
 )
 
-from conftest import FEASIBLE_SHAPES, feasible_datum, rand_spd
+from conftest import FEASIBLE_SHAPES, dsyevd_failing_on, feasible_datum, rand_spd
 
 YOUNG_XSTAR = SpdMatrix([[1.0, 0.5], [0.5, 1.0]])
 YOUNG_TARGET = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -283,6 +284,16 @@ class TestSolveFixedPoint:
         with pytest.raises(StepFailure, match=r"^iteration 1: overflow encountered in matmul$"):
             solve_fixed_point(gen_young(), SolveConfig(solver=solver, x0=x0))
 
+    @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
+    def test_eigensolver_failure_names_the_iteration(self, monkeypatch, solver):
+        # the third eigensolve is in the loop, past iterate 0, for every solver
+        monkeypatch.setattr(blfix.matcore, "dsyevd", dsyevd_failing_on(3))
+        with pytest.raises(ConvergenceFailure, match=r"^iteration \d+: symmetric eigensolver did not"):
+            if solver == "rgd":
+                solve_rgd(gen_young(), RgdConfig())
+            else:
+                solve_fixed_point(gen_young(), SolveConfig(solver=solver))
+
     @pytest.mark.parametrize("mu_override", [None, 1e-8], ids=["adaptive", "mu_override"])
     def test_regularized_reads_r_base_from_the_loop(self, monkeypatch, mu_override):
         # the loop has computed iterate 0's spectrum, so mu needs no eigensolve of x0
@@ -403,7 +414,7 @@ class TestTraceLevels:
     @pytest.mark.parametrize("case, solver", CASES, ids=[f"{c}-{s}" for c, s in CASES])
     def test_summary_matches_full(self, monkeypatch, case, solver):
         datum = self.datum(case)
-        calls = TestOneEvaluationPerIterate.count(monkeypatch, "eigenvalues", _Whitened)
+        calls = TestOneEvaluationPerIterate.count(monkeypatch, "spectrum", _Whitened)
         full, full_trace = _run_at("full", datum, solver)
         assert calls[0] == len(full_trace.rows)
         calls[0] = 0
