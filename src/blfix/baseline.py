@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import check_nonnegative
 from .datum import BLDatum
-from .matcore import SpdMatrix, _congruence, sym_eig
+from .matcore import SpdMatrix, _congruence
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
 from .solve import CONVERGED, IterTrace, SolveResult, _check_settings, _drive, _Whitened
 
@@ -50,8 +50,7 @@ def riem_grad_norm(x: SpdMatrix, xi: np.ndarray) -> float:
 def rgd_step(datum: BLDatum, x: SpdMatrix, eta: float) -> SpdMatrix:
     """Exponential-map update Exp_X(-eta * riem_grad(X)) by one kernel step; stays on the cone."""
     check_nonnegative("eta", eta)
-    frame = _Whitened(datum, x).evaluate()
-    return SpdMatrix._from_factor(frame.descend(*sym_eig(frame.s - np.eye(datum.d)), eta).t)
+    return SpdMatrix._from_factor(_Whitened(datum, x).evaluate().descend(eta).t)
 
 
 def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace]:
@@ -79,7 +78,7 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
         return x.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
     def step(x):
-        return x.descend(*sym_eig(x.s - np.eye(datum.d)), STEP_SIZE)
+        return x.descend(STEP_SIZE)
 
     return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
                   config.max_iter, config.trace == "full")

@@ -81,14 +81,16 @@ def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
-def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResult, IterTrace, dict]:
+def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResult, IterTrace, dict, float]:
     """Run one solver by CLI name at the given trace level, passing its config
     only the flags the user set; returns (result, trace, echo of the config
-    the run used)."""
+    the run used, wall seconds from building the config to the result)."""
+    t0 = time.perf_counter()
     if name == "rgd":
         cfg = RgdConfig(trace=level, **_given(tol_grad=args.tol, max_iter=args.max_iter))
         result, trace = solve_rgd(datum, cfg)
-        return result, trace, {"solver": "rgd", "tol_grad": cfg.tol_grad, "max_iter": cfg.max_iter}
+        echo = {"solver": "rgd", "tol_grad": cfg.tol_grad, "max_iter": cfg.max_iter}
+        return result, trace, echo, time.perf_counter() - t0
     x0 = getattr(args, "x0", "identity")
     cfg = SolveConfig(solver=_SOLVER_NAMES[name], trace=level,
                       x0=None if x0 == "identity" else load_matrix(x0),
@@ -96,14 +98,12 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
     result, trace = solve_fixed_point(datum, cfg)
     echo = {"solver": name, "tol": cfg.tol, "max_iter": cfg.max_iter, "epsilon": cfg.epsilon,
             "mu": cfg.mu_override, "x0": x0}
-    return result, trace, echo
+    return result, trace, echo, time.perf_counter() - t0
 
 
 def cmd_solve(args) -> int:
     datum = load_datum(args.datum)
-    t0 = time.perf_counter()
-    result, trace, echo = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
-    wall = time.perf_counter() - t0
+    result, trace, echo, wall = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
     if args.trace:
         trace.write_csv(args.trace)
     _print_json(
@@ -162,14 +162,6 @@ def cmd_metric(args) -> int:
     return 0
 
 
-def _iterations_to_tol(trace: IterTrace, tol: float):
-    for row in trace.rows:
-        v = getattr(row, trace.residual)
-        if not math.isnan(v) and v <= tol:
-            return row.iter
-    return None
-
-
 def cmd_bench(args) -> int:
     if args.datum:
         datum = load_datum(args.datum)
@@ -188,20 +180,15 @@ def cmd_bench(args) -> int:
         if name in names[:i]:
             raise BlfixError(f"solver {name!r} is named twice in --solvers")
 
-    def run(name: str):
-        t0 = time.perf_counter()
-        result, trace, _ = _run_solver(datum, name, args, "full")
-        return name, result, trace, time.perf_counter() - t0
-
-    runs = [run(name) for name in names]
+    runs = [(name, *_run_solver(datum, name, args, "full")) for name in names]
 
     os.makedirs(args.out_dir, exist_ok=True)
     solvers_obj = {}
     lines = [f"{'solver':<8} {'iters':>7} {'to_tol':>7} {'status':<22} {'F_final':>24} {'bl_constant':>24}"]
     worst = 0
-    for name, result, trace, wall in runs:
+    for name, result, trace, _, wall in runs:
         trace.write_csv(os.path.join(args.out_dir, f"{name}.csv"))
-        to_tol = _iterations_to_tol(trace, args.tol)
+        to_tol = result.iterations if result.residual <= args.tol else None
         solvers_obj[name] = {
             "iterations": result.iterations,
             "iterations_to_tol": to_tol,

@@ -81,8 +81,6 @@ def snyder_bound(x: SpdMatrix, y: SpdMatrix, p) -> float:
 
     Returns 2^(1/p) * (1 - exp(-d)) * max(||x||_p, ||y||_p) with d = thompson(x, y).
     """
-    if x.n != y.n:
-        raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
     d = thompson(x, y)
     factor = -math.expm1(-d)  # (e^d - 1)/e^d, stable for small d
     return 2.0 ** (1.0 / p) * factor * max(schatten_norm(x, p), schatten_norm(y, p))

@@ -131,7 +131,8 @@ def sym_eig(s, vectors: bool = True):
     lower triangle (numpy's eigh and eigvalsh cost more than the call they wrap).
 
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns), so that
-    s = V @ diag(vals) @ V.T; with vectors=False, the eigenvalues alone.
+    s = V @ diag(vals) @ V.T; with vectors=False, the eigenvalues alone. Entries
+    must be finite, as every caller here ensures: a NaN gives wrong values with info 0.
     """
     vals, vecs, info = dsyevd(_mat(s), compute_v=int(vectors), lower=1)
     if info:
@@ -140,7 +141,9 @@ def sym_eig(s, vectors: bool = True):
 
 
 def sym_op_norm(s) -> float:
-    """Operator (spectral) norm of a symmetric matrix: max |eigenvalue|."""
+    """Operator (spectral) norm of a symmetric matrix with finite entries: max |eigenvalue|."""
+    if not np.isfinite(_mat(s)).all():
+        raise InvalidArgument("matrix entries must be finite")
     return float(np.max(np.abs(sym_eig(s, vectors=False))))
 
 

@@ -225,10 +225,11 @@ class _Whitened:
         self.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
         return self
 
-    def descend(self, lam: np.ndarray, vecs: np.ndarray, eta: float) -> "_Whitened":
+    def descend(self, eta: float) -> "_Whitened":
         """Move this evaluated iterate, in place, by RGD's step Exp_X(-eta xi):
         with T^{-1} xi T^{-T} = S - I = V Lam V^T, T <- T V exp(-eta Lam / 2), a
         step of Thompson length eta max |Lam|."""
+        lam, vecs = sym_eig(self.s - np.eye(len(self.s)))
         half = np.exp(-0.5 * eta * lam)
         self.t, self.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
         self.log_det_t -= 0.5 * eta * float(np.sum(lam))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 import blfix.matcore
 from blfix.cli import main
 from blfix.datum import BLDatum, datum_to_json_obj, gen_random, gen_young, load_datum, save_datum
+from blfix.errors import TooLarge
 from blfix.matcore import SpdMatrix, save_matrix
 
 from conftest import dsyevd_failing_on
@@ -35,6 +37,21 @@ MALFORMED_MATRICES = [
     '{"n": 2, "data": [[1.0, 0.0], 5]}',
     '{"n": 2, "data": [[1.0, "a"], ["a", 1.0]]}',
 ]
+# datum files that parse as JSON but fail a check, with the message naming it
+REJECTED_DATA = {
+    "json-array": (b"[]", "must contain a JSON object"),
+    "d-zero": (_young_with(d=0), 'field "d" must be a positive integer'),
+    "maps-length": (_young_with(maps=[[[1.0, 0.0]], [[0.0, 1.0]]]), 'field "maps" must list 3 matrices'),
+    "weights-length": (_young_with(weights=[0.5, 0.5]), 'field "weights" must list 3 numbers'),
+    "declared-shape": (_young_with(d=3), "declared shape (1x3) does not match maps (1x2)"),
+    "flat-row-map": (_young_with(maps=[[1.0, 0.0], [[0.0, 1.0]], [[1.0, -1.0]]]), "map 0 is not a matrix"),
+    "inf-entry": (_young_with().replace(b"-1.0", b"1e400"), "map 2 has non-finite entries"),  # JSON reads inf
+}
+REJECTED_MATRICES = {
+    "no-n": ('{"data": [[1.0]]}', 'must have fields "n" and "data"'),
+    "n-zero": ('{"n": 0, "data": []}', 'field "n" must be a positive integer'),
+    "inf-entry": ('{"n": 1, "data": [[1e400]]}', "matrix entries must be finite"),
+}
 
 
 @pytest.fixture
@@ -273,6 +290,14 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["report"]["scaling_ok"] is False
 
+    def test_critical_c_too_large_prints_null(self, capsys, monkeypatch, young_path):
+        def too_large(datum):
+            raise TooLarge("comb(d, dprime) exceeds the limit")
+
+        monkeypatch.setattr("blfix.cli.critical_c", too_large)
+        code, out = run_cli(capsys, "check", young_path)
+        assert code == 0 and json.loads(out)["critical_c"] is None
+
     def test_huge_weights_report_without_warnings(self, capsys, tmp_path):
         path = _huge_weights_path(tmp_path)
         with warnings.catch_warnings():
@@ -368,6 +393,24 @@ class TestBench:
             assert os.path.exists(os.path.join(out_dir, f"{name}.csv"))
         assert os.path.exists(os.path.join(out_dir, "summary.txt"))
 
+    @pytest.mark.parametrize("max_iter", [None, 3])
+    @pytest.mark.parametrize("datum", ["young", "random"])
+    def test_iterations_to_tol_is_the_first_row_within_tol(self, capsys, tmp_path, datum, max_iter):
+        path, out_dir, tol = str(tmp_path / "d.json"), tmp_path / "traces", 1e-8
+        save_datum(gen_young() if datum == "young" else gen_random(10, 5, 8, 0), path)
+        limit = [] if max_iter is None else ["--max-iter", str(max_iter)]
+        code, out = run_cli(capsys, "bench", "--datum", path, "--solvers", "g,gmu,gtilde,rgd",
+                            *limit, "--out-dir", str(out_dir))
+        solvers = json.loads(out)["solvers"]
+        for name, run in solvers.items():
+            with open(out_dir / f"{name}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            column = "grad_norm" if name == "rgd" else "thompson_step"
+            within = [int(r["iter"]) for r in rows if float(r[column]) <= tol]
+            assert run["iterations_to_tol"] == (within[0] if within else None)
+        if max_iter == 3:
+            assert code == 2 and all(run["iterations_to_tol"] is None for run in solvers.values())
+
     def test_bench_unknown_solver_exits_1(self, capsys, tmp_path, young_path):
         err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,foo",
                                 "--out-dir", str(tmp_path / "b"))
@@ -403,6 +446,25 @@ class TestUsage:
         path.write_bytes(content)
         code, out = run_cli(capsys, "solve", str(path), "--solver", "g")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("content, message", REJECTED_DATA.values(), ids=REJECTED_DATA.keys())
+    def test_rejected_datum_names_the_check(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        err = assert_error_exit(capsys, "solve", str(path), "--solver", "g")
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("text, message", REJECTED_MATRICES.values(), ids=REJECTED_MATRICES.keys())
+    def test_rejected_matrix_names_the_check(self, capsys, tmp_path, text, message):
+        bad, eye = tmp_path / "bad.json", str(tmp_path / "eye.json")
+        bad.write_text(text)
+        save_matrix(SpdMatrix.identity(2), eye)
+        err = assert_error_exit(capsys, "metric", "thompson", str(bad), eye)
+        assert err.count("\n") == 1 and message in err
+
+    def test_gen_holder_zero_dimension_exits_1(self, capsys):
+        err = assert_error_exit(capsys, "gen", "holder", "--d", "0")
+        assert err.count("\n") == 1 and "need d >= 1" in err
 
     @pytest.mark.parametrize("command", ["metric", "x0"])
     @pytest.mark.parametrize("text", MALFORMED_MATRICES, ids=["row-not-list", "string-entry"])

@@ -37,6 +37,8 @@ class TestConeBox:
             ConeBox(2.0, 1.0, 3)
         with pytest.raises(InvalidArgument):
             ConeBox(0.0, 1.0, 3)
+        with pytest.raises(InvalidArgument, match="dim"):
+            ConeBox(1.0, 2.0, 0)
 
     def test_in_box(self):
         box = ConeBox(0.5, 2.0, 2)
@@ -101,6 +103,12 @@ class TestSnyder:
         assert schatten_norm(x, 1) == pytest.approx(5.0)
         assert schatten_norm(x, 2) == pytest.approx(math.sqrt(17.0))
         assert schatten_norm(x, math.inf) == pytest.approx(4.0)
+        with pytest.raises(InvalidArgument, match="p must be 1, 2 or inf"):
+            schatten_norm(x, 3)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="dimensions differ: 2 vs 3"):
+            snyder_bound(SpdMatrix.identity(2), SpdMatrix.identity(3), 2)
 
 
 # --- randomized property suite -------------------------------------------------

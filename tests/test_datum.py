@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blfix._util
 import blfix.datum
 from blfix.datum import (
     BLDatum,
@@ -227,6 +228,12 @@ class TestGenerators:
         with pytest.raises(InvalidShape):
             gen_random(2, 3, 4, 0)
 
+    def test_from_maps_rejects_counts(self):
+        with pytest.raises(ShapeMismatch, match="at least one map"):
+            BLDatum.from_maps([], [])
+        with pytest.raises(ShapeMismatch, match="expected 3 weights"):
+            BLDatum.from_maps(gen_young().maps, [1.0])
+
     def test_random_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed"):
             gen_random(4, 2, 4, -1)
@@ -311,6 +318,15 @@ class TestPersistence:
         path.write_text('{"d": 1, "dprime": 1, "m": 1, "weights": [NaN], "maps": [[[1.0]]]}')
         with pytest.raises(ParseError):
             load_datum(str(path))
+
+    def test_failed_rename_leaves_no_file(self, monkeypatch, tmp_path):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(blfix._util.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_datum(gen_young(), str(tmp_path / "young.json"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="weights"):

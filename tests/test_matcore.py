@@ -242,6 +242,13 @@ class TestOpNorm:
     def test_matches_eigs(self):
         assert sym_op_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
 
+    # dsyevd returns eigenvalues [0, -0] with info 0 for the diagonal NaN
+    @pytest.mark.parametrize("a", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],
+                                   [[1.0, 0.0], [0.0, math.inf]]], ids=["nan-diagonal", "nan-off-diagonal", "inf"])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(InvalidArgument, match="matrix entries must be finite"):
+            sym_op_norm(np.array(a))
+
 
 class TestMatrixJson:
     def test_round_trip(self, tmp_path):

@@ -98,6 +98,11 @@ class TestBlValueZ:
         with pytest.raises(DimensionMismatch):
             bl_value_Z(gen_young(), z)
 
+    def test_block_size_checked(self):
+        z = GaussianInput((SpdMatrix.identity(2),) * 3)
+        with pytest.raises(DimensionMismatch, match="block 0 is 2x2, expected 1"):
+            bl_value_Z(gen_young(), z)
+
 
 class TestRecoverZ:
     def test_holder_identity(self):

@@ -14,7 +14,7 @@ import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
-from blfix.errors import ConvergenceFailure, InvalidArgument, StepFailure, ValidationFailed
+from blfix.errors import ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure, ValidationFailed
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -181,14 +181,13 @@ class TestWhitenedKernel:
         # Exp_X(-eta xi) = X^{1/2} expm(-eta X^{-1/2} xi X^{-1/2}) X^{1/2}
         datum, x = self.point(i)
         frame = _Whitened(datum, x).evaluate()
-        lam, vecs = sym_eig(frame.s - np.eye(datum.d))
         xi = riem_grad(datum, x)
         rnorm = riem_grad_norm(x, xi)  # RGD's residual is |S - I|_F
         assert abs(np.linalg.norm(frame.s - np.eye(datum.d)) - rnorm) <= 1e-12 * max(1.0, rnorm)
         vals, v = np.linalg.eigh(x.a)
         root, inv_root = (v * np.sqrt(vals)) @ v.T, (v / np.sqrt(vals)) @ v.T
         for eta in (1e-1, 1e-3):
-            moved = _Whitened(datum, x).evaluate().descend(lam, vecs, eta)
+            moved = _Whitened(datum, x).evaluate().descend(eta)
             got = moved.t @ moved.t.T
             want = root @ scipy.linalg.expm(-eta * inv_root @ xi @ inv_root) @ root
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -218,6 +217,8 @@ class TestChooseMu:
             choose_mu(-1.0, 1.0, 2)
         with pytest.raises(InvalidArgument):
             choose_mu(1e-6, 0.0, 2)
+        with pytest.raises(InvalidArgument, match="d must be a positive integer"):
+            choose_mu(1e-6, 1.0, 0)
 
 
 class TestContractionDiagnostic:
@@ -268,6 +269,10 @@ class TestSolveFixedPoint:
         for run in runs + [functools.partial(solve_rgd, bad, RgdConfig())]:
             with pytest.raises(ValidationFailed, match=r"scaling_ok=False \(residual 1\)"):
                 run()
+
+    def test_x0_dimension_checked(self):
+        with pytest.raises(DimensionMismatch, match="start point is 3x3, datum has d=2"):
+            solve_fixed_point(gen_young(), SolveConfig(x0=SpdMatrix.identity(3)))
 
     def test_x0_used(self):
         res, _ = solve_fixed_point(
@@ -364,7 +369,7 @@ class TestSolveConfig:
         ("max_iter", 0), ("max_iter", -3),
         ("epsilon", -1e-6), ("epsilon", math.nan), ("epsilon", math.inf),
         ("mu_override", 0.0), ("mu_override", math.nan), ("mu_override", math.inf),
-        ("trace", "none"), ("trace", "Full"), ("trace", None),
+        ("trace", "none"), ("trace", "Full"), ("trace", None), ("solver", "bogus"),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(InvalidArgument, match=field):

@@ -22,8 +22,9 @@ The battery, from the identity start:
   gen_random(*shape, seed=i), on Young scaled by 1e-3 and 1e3, and on the
   crafted infeasible datum;
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
-  without and with `--trace`, `bench` with all four solvers, `check`, and
-  `metric thompson` and `metric hilbert` on two random 8x8 matrices.
+  without and with `--trace`, `bench` with all four solvers at the default
+  `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
+  and `metric thompson` and `metric hilbert` on two random 8x8 matrices.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -148,8 +149,9 @@ def cli_battery() -> dict:
                 for solver in CLI_SOLVERS:
                     commands.append(["solve", datum, "--solver", solver])
                     commands.append(["solve", datum, "--solver", solver, "--trace", "out/trace.csv"])
-                commands.append(["bench", "--datum", datum, "--solvers", ",".join(CLI_SOLVERS),
-                                 "--out-dir", "out/bench"])
+                for limit in ([], ["--max-iter", "3"]):
+                    commands.append(["bench", "--datum", datum, "--solvers", ",".join(CLI_SOLVERS),
+                                     *limit, "--out-dir", "out/bench"])
             for argv in commands:
                 out[" ".join(argv)] = cli_digest(argv)
         finally:
