@@ -35,7 +35,7 @@ from .datum import (
     save_datum,
     validate,
 )
-from .errors import BlfixError, TooLarge, ValidationFailed
+from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed
 from .matcore import load_matrix, matrix_to_json_obj
 from .solve import (
     CONVERGED,
@@ -51,6 +51,7 @@ SCHEMA = "blfix/1"
 
 _SOLVER_NAMES = {"g": "plain_g", "gmu": "regularized", "gtilde": "normalized", "rgd": "rgd"}
 _STATUS_EXIT = {CONVERGED: 0, MAX_ITER: 2, INFEASIBILITY_SUSPECTED: 3}
+_IGNORED_FLAGS = {"g": ("--eps", "--mu"), "gtilde": ("--eps", "--mu"), "rgd": ("--x0", "--eps", "--mu")}
 
 
 def _print_json(obj) -> None:
@@ -102,6 +103,10 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
 
 
 def cmd_solve(args) -> int:
+    given = {"--x0": args.x0 != "identity", "--eps": args.eps is not None, "--mu": args.mu is not None}
+    for flag in _IGNORED_FLAGS.get(args.solver, ()):
+        if given[flag]:
+            raise InvalidArgument(f"{flag} does not apply to --solver {args.solver}")
     datum = load_datum(args.datum)
     result, trace, echo, wall = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
     if args.trace:

@@ -48,6 +48,7 @@ SOLVERS = ("plain_g", "regularized", "normalized")
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
 SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
 TRACE_LEVELS = ("summary", "full")
+PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
 
 
 def _check_settings(tol_name: str, tol: float, max_iter: int, trace: str) -> None:
@@ -140,19 +141,24 @@ class IterTrace:
 class _Whitened:
     """A run's one iterate X = T T^T, which each step moves in place, and the
     datum in the coordinates where X is the identity: there the maps are
-    M_j = L_j T, and `evaluate` makes one batched call per stage for all m maps,
+    M_j = L_j T, and `evaluate` makes one batched call per stage for all m maps
+    (bar the per-map triangular solves below),
 
         M_j M_j^T = C_j C_j^T,   W_j = C_j^{-1} M_j,   S = sum_j w_j W_j^T W_j,
         F = sum_j w_j 2 sum log diag C_j - 2 log|det T|,
 
-    where S = T^T P T for the pre-inversion sum P at X, each W_j has orthonormal
-    rows, and the m triangular solves are one solve against the block diagonal
-    of the C_j. Each L_j is first divided by 2^e_j, e_j the binary exponent of
-    its largest entry. That is exact and leaves P and the W_j unchanged, so no
-    pushforward can overflow or underflow; F moves by 2 ln2 d' sum_j w_j e_j,
-    which is added back. `step_len` is the Thompson length of the step that
-    reached the iterate. `log_lo` and `log_hi` bound the logs of X's extreme
-    eigenvalues; `eig_range` holds them once computed, else nans.
+    where S = T^T P T for the pre-inversion sum P at X and each W_j has
+    orthonormal rows. The m triangular solves take one of two routes, chosen
+    by the block size d'. Below PER_MAP_SOLVE_DPRIME they are one dtrsm
+    against the md' x md' block diagonal of the C_j, (md')^2 d flops in one
+    call; from it on they are m dtrsm calls of d'^2 d flops each, in place on
+    the columns of M^T. Each L_j is first divided by 2^e_j, e_j the binary
+    exponent of its largest entry. That is exact and leaves P and the W_j
+    unchanged, so no pushforward can overflow or underflow; F moves by
+    2 ln2 d' sum_j w_j e_j, which is added back. `step_len` is the Thompson
+    length of the step that reached the iterate. `log_lo` and `log_hi` bound
+    the logs of X's extreme eigenvalues; `eig_range` holds them once computed,
+    else nans.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -164,10 +170,12 @@ class _Whitened:
         self.row_w = np.repeat(datum.weights, datum.dprime)
         self.sqrt_w = np.sqrt(self.row_w)[:, None]
         self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
-        rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
-        self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
-                          np.tile(rows, datum.dprime).ravel())
-        self.blocks = np.zeros((rows.size, rows.size), order="F")
+        self.blocks = None  # the per-map route
+        if datum.dprime < PER_MAP_SOLVE_DPRIME:
+            rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
+            self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
+                              np.tile(rows, datum.dprime).ravel())
+            self.blocks = np.zeros((rows.size, rows.size), order="F")
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
         self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
@@ -177,10 +185,17 @@ class _Whitened:
         m = self.maps @ self.t
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
-        self.blocks[self.block_idx] = c.ravel()
-        w = self.sqrt_w * dtrsm(1.0, self.blocks, m, lower=1)
+        if self.blocks is None:  # W_j^T C_j^T = M_j^T, in place: each slab of m.T is an F-ordered view
+            mt, dp = m.T, self.shape[1]
+            for j, cj in enumerate(c):
+                dtrsm(1.0, cj.T, mt[:, j * dp:(j + 1) * dp], side=1, lower=0, overwrite_b=1)
+            diag = c.diagonal(0, 1, 2).ravel()
+        else:
+            self.blocks[self.block_idx] = c.ravel()
+            m, diag = dtrsm(1.0, self.blocks, m, lower=1), self.blocks.diagonal()
+        w = self.sqrt_w * m
         self.s = w.T @ w
-        log_det_pf = 2.0 * float(self.row_w @ np.log(self.blocks.diagonal()))
+        log_det_pf = 2.0 * float(self.row_w @ np.log(diag))
         self.value = log_det_pf - 2.0 * self.log_det_t + self.offset
         return self
 

@@ -515,6 +515,19 @@ class TestUsage:
             err = assert_error_exit(capsys, "solve", young_path, *args)
         assert err.startswith(f"blfix: error: {field} must be")
 
+    @pytest.mark.parametrize("solver, flag, value", [
+        ("rgd", "--x0", "does-not-exist.json"),
+        ("rgd", "--eps", "0.1"),
+        ("rgd", "--mu", "0.5"),
+        ("g", "--eps", "0.1"),
+        ("g", "--mu", "0.5"),
+        ("gtilde", "--eps", "0.1"),
+        ("gtilde", "--mu", "0.5"),
+    ])
+    def test_flag_the_solver_ignores_exits_1(self, capsys, young_path, solver, flag, value):
+        err = assert_error_exit(capsys, "solve", young_path, "--solver", solver, flag, value)
+        assert err == f"blfix: error: {flag} does not apply to --solver {solver}\n"
+
     def test_console_script_runs(self, young_path):
         proc = subprocess.run(
             [sys.executable, "-m", "blfix.cli", "solve", young_path, "--solver", "g"],

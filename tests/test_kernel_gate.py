@@ -26,9 +26,9 @@ DIGEST = {
 }
 
 
-def _gate(tmp_path, capsys, change):
+def _gate(tmp_path, capsys, change, parent=DIGEST):
     paths = [str(tmp_path / "parent.json"), str(tmp_path / "change.json")]
-    for path, digest in zip(paths, (DIGEST, change)):
+    for path, digest in zip(paths, (parent, change)):
         with open(path, "w") as fh:
             json.dump(digest, fh)
     code = kernel_gate.main(paths)
@@ -51,7 +51,8 @@ RUN = ("solvers", "young*1000 plain_g summary")
 def test_identical(tmp_path, capsys):
     code, out = _gate(tmp_path, capsys, copy.deepcopy(DIGEST))
     assert code == 0
-    assert out == "kernel gate: 0 differing, 0 failing\n"
+    assert out == ("kernel gate: 0 differing, 0 failing; worst converged relative |dF| 0.0e+00, "
+                   "largest iteration move 0\n")
 
 
 def test_f_moved_one_ulp_passes_and_is_listed(tmp_path, capsys):
@@ -62,7 +63,7 @@ def test_f_moved_one_ulp_passes_and_is_listed(tmp_path, capsys):
     assert out.splitlines() == [
         "young*1000",
         "  plain_g summary: F_value, columns.thompson_step",
-        "kernel gate: 1 differing, 0 failing",
+        "kernel gate: 1 differing, 0 failing; worst converged relative |dF| 1.8e-16, largest iteration move 0",
     ]
 
 
@@ -75,7 +76,7 @@ def test_f_moved_one_ulp_passes_and_is_listed(tmp_path, capsys):
 def test_violations_fail(tmp_path, capsys, path, value, why):
     code, out = _gate(tmp_path, capsys, _changed(path, value))
     assert code == 1
-    assert f"VIOLATION: {why}" in out and out.endswith("1 differing, 1 failing\n")
+    assert f"VIOLATION: {why}" in out and "kernel gate: 1 differing, 1 failing;" in out
 
 
 def test_one_iteration_more_passes(tmp_path, capsys):
@@ -86,7 +87,22 @@ def test_one_iteration_more_passes(tmp_path, capsys):
 def test_cli_stdout_changed_fails(tmp_path, capsys):
     code, out = _gate(tmp_path, capsys, _changed(("cli", "check young.json", "stdout"), "{\"x\": 1}\n"))
     assert code == 1
-    assert out.splitlines() == ["cli", "  check young.json: stdout", "kernel gate: 1 differing, 1 failing"]
+    assert out.splitlines()[:2] == ["cli", "  check young.json: stdout"]
+    assert out.splitlines()[2].startswith("kernel gate: 1 differing, 1 failing;")
+
+
+@pytest.mark.parametrize("status, margins", [
+    ("Converged", "worst converged relative |dF| 5.0e-12, largest iteration move 1"),
+    ("MaxIter", "worst converged relative |dF| 0.0e+00, largest iteration move 1"),  # F of a MaxIter run is not gated
+])
+def test_summary_line_prints_margins(tmp_path, capsys, status, margins):
+    parent = _changed(RUN + ("status",), status)
+    change = copy.deepcopy(parent)
+    change["solvers"][RUN[1]].update(F_value=F + 5e-12 * abs(F), iterations=41)
+    change["solvers"]["crafted rgd full"]["error"] = "StepFailure: iteration 7: overflow"  # errors have no margin
+    code, out = _gate(tmp_path, capsys, change, parent)
+    assert code == 1  # the error changed
+    assert out.splitlines()[-1] == f"kernel gate: 2 differing, 1 failing; {margins}"
 
 
 def test_usage(capsys):

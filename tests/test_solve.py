@@ -21,6 +21,7 @@ from blfix.solve import (
     CONVERGED,
     INFEASIBILITY_SUSPECTED,
     MAX_ITER,
+    PER_MAP_SOLVE_DPRIME,
     SOLVERS,
     TRACE_LEVELS,
     SolveConfig,
@@ -110,18 +111,32 @@ class TestStepGTilde:
         assert np.allclose(got.a, [[0.5, 1 / 6], [1 / 6, 0.5]], atol=1e-14)
 
 
+# Past the feasible shapes (all d' <= 4, the block-diagonal solve): fp-large's
+# (30,10,12), a datum at the per-map route's switch and one just below it.
+ROUTE_SHAPES = [(30, 10, 12), (PER_MAP_SOLVE_DPRIME + 2, PER_MAP_SOLVE_DPRIME, 4),
+                (PER_MAP_SOLVE_DPRIME + 1, PER_MAP_SOLVE_DPRIME - 1, 4)]
+KERNEL_CASES = range(len(FEASIBLE_SHAPES) + len(ROUTE_SHAPES))
+
+
 class TestWhitenedKernel:
     """The kernel's steps, step lengths and F against their direct formulas, at
-    a random point x != I of each feasible shape."""
+    a random point x != I of each feasible shape and of each ROUTE_SHAPES
+    shape."""
 
     MU = 0.3
 
     @staticmethod
     def point(i: int):
-        datum = feasible_datum(i)
+        n = len(FEASIBLE_SHAPES)
+        datum = feasible_datum(i) if i < n else gen_random(*ROUTE_SHAPES[i - n], seed=0)
         return datum, rand_spd(np.random.default_rng(100 + i), datum.d)
 
-    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    @pytest.mark.parametrize("i", KERNEL_CASES)
+    def test_route_follows_block_size(self, i):
+        datum, x = self.point(i)
+        assert (_Whitened(datum, x).blocks is None) == (datum.dprime >= PER_MAP_SOLVE_DPRIME)
+
+    @pytest.mark.parametrize("i", KERNEL_CASES)
     def test_steps_match_inverted_sum(self, i):
         datum, x = self.point(i)
         s = pre_inversion_sum(datum, x)
@@ -134,14 +149,14 @@ class TestWhitenedKernel:
         for got, want in expected:
             assert np.abs(got.a - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    @pytest.mark.parametrize("i", KERNEL_CASES)
     def test_step_length_is_thompson(self, i):
         datum, x = self.point(i)
         for solver in SOLVERS:
             moved = _Whitened(datum, x).evaluate().advance(solver, self.MU)
             assert abs(moved.step_len - thompson(SpdMatrix(moved.t @ moved.t.T), x)) <= 1e-12
 
-    @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
+    @pytest.mark.parametrize("i", KERNEL_CASES)
     def test_value_and_gradient_match_eval_F(self, i):
         # at x, then at three iterates whose factors are no longer triangular
         datum, x = self.point(i)

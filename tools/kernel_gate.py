@@ -6,8 +6,11 @@ the kernel's arithmetic, where the bits may move but the answers may not.
 Every solver run must keep its status (or its error message), its iteration
 count within 1 and, if it converged, F within 1e-11 * max(1, |F|). The CLI
 output must not change at all. Prints the solver runs and CLI commands whose
-digests differ, grouped by datum, with the fields that moved, and exits 1 on a
-violation or on any CLI difference, 0 otherwise (2 on a usage error).
+digests differ, grouped by datum, with the fields that moved, then a summary
+line with the margins: the worst |dF| / max(1, |F|) over the runs converged at
+the parent, and the largest move in iterations over the runs that raised on
+neither side. Exits 1 on a violation or on any CLI difference, 0 otherwise (2
+on a usage error).
 """
 
 from __future__ import annotations
@@ -32,6 +35,21 @@ def violation(old: dict | None, new: dict | None) -> str | None:
     if old["status"] == "Converged" and abs(new["F_value"] - f) > F_RTOL * max(1.0, abs(f)):
         return "F moved beyond 1e-11"
     return None
+
+
+def margins(parent: dict, change: dict) -> tuple[float, int]:
+    """(worst |dF| / max(1, |F|) over runs converged at the parent, largest
+    iteration move), over the solver runs that completed on both sides."""
+    worst_f, worst_iter = 0.0, 0
+    for key, old in parent.items():
+        new = change.get(key)
+        if new is None or "error" in old or "error" in new:
+            continue
+        worst_iter = max(worst_iter, abs(new["iterations"] - old["iterations"]))
+        if old["status"] == "Converged":
+            f = old["F_value"]
+            worst_f = max(worst_f, abs(new["F_value"] - f) / max(1.0, abs(f)))
+    return worst_f, worst_iter
 
 
 def moved(old: dict | None, new: dict | None) -> list:
@@ -71,7 +89,9 @@ def main(argv=None) -> int:
         print(datum)
         print("".join(f"  {line}\n" for line in lines), end="")
     runs = sum(len(lines) for lines in groups.values())
-    print(f"kernel gate: {runs} differing, {bad} failing")
+    worst_f, worst_iter = margins(parent["solvers"], change["solvers"])
+    print(f"kernel gate: {runs} differing, {bad} failing; worst converged relative |dF| {worst_f:.1e}, "
+          f"largest iteration move {worst_iter}")
     return 1 if bad else 0
 
 
