@@ -45,7 +45,8 @@ def read_json(path: str, convert):
     """Read the JSON file at path and return convert(obj) of its content.
 
     NaN and Infinity are rejected. Malformed input raises ParseError naming the
-    file: text that is not UTF-8, bad or too deeply nested JSON, and entries
+    file: text that is not UTF-8, bad or too deeply nested JSON, a boolean
+    anywhere (no field is one, and numpy would read true as 1.0), and entries
     that convert cannot use (a ValueError or TypeError inside it, such as a
     non-numeric entry or a ragged row).
     """
@@ -56,6 +57,15 @@ def read_json(path: str, convert):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, bool):
+            raise ParseError(f"{path}: boolean {json.dumps(item)} is not allowed")
+        if isinstance(item, list):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
     try:
         return convert(obj)
     except (ValueError, TypeError) as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -59,11 +58,8 @@ def _print_json(obj) -> None:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _result_obj(result: SolveResult) -> dict:
@@ -73,7 +69,7 @@ def _result_obj(result: SolveResult) -> dict:
         "iterations": result.iterations,
         "bl_constant": result.bl_constant,
         "F_value": result.F_value,
-        "residual": None if math.isnan(result.residual) else result.residual,
+        "residual": result.residual,
         "grad_norm": result.grad_norm,
     }
 
@@ -184,6 +180,8 @@ def cmd_bench(args) -> int:
             raise BlfixError(f"unknown solver {name!r}; choose from {sorted(_SOLVER_NAMES)}")
         if name in names[:i]:
             raise BlfixError(f"solver {name!r} is named twice in --solvers")
+    if args.mu is not None and all("--mu" in _IGNORED_FLAGS.get(name, ()) for name in names):
+        raise InvalidArgument(f"--mu does not apply to --solvers {','.join(names)}")
 
     runs = [(name, *_run_solver(datum, name, args, "full")) for name in names]
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._util import atomic_write_text, read_json
 from .errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
 
-RANK_RTOL = 1e-10  # singular values below RANK_RTOL * sigma_max count as zero
+RANK_RTOL = 1e-10  # matrix_rank's rtol: singular values up to RANK_RTOL * sigma_max count as zero
 SCALING_TOL = 1e-10
 _SUBSPACE_SLACK = 1e-9
 _COORD_SUBSPACE_CAP = 20000  # per dimension; sampled beyond this
@@ -67,11 +67,8 @@ class BLDatum:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BLDatum)
-            and self.d == other.d
-            and self.dprime == other.dprime
-            and self.m == other.m
             and np.array_equal(self.weights, other.weights)
-            and all(np.array_equal(a, b) for a, b in zip(self.maps, other.maps))
+            and np.array_equal(np.stack(self.maps), np.stack(other.maps))
         )
 
     def __repr__(self) -> str:
@@ -99,22 +96,7 @@ class ValidationReport:
         return bool(all(self.rank_ok) and self.scaling_ok and self.weight_range_ok)
 
     def to_json_obj(self) -> dict:
-        return {
-            "rank_ok": [bool(v) for v in self.rank_ok],
-            "scaling_ok": bool(self.scaling_ok),
-            "scaling_residual": float(self.scaling_residual),
-            "weight_range_ok": bool(self.weight_range_ok),
-            "subspace_heuristic_ok": self.subspace_heuristic_ok,
-            "sampled_violations": list(self.sampled_violations),
-            "accepted": self.accepted,
-        }
-
-
-def _ranks(stack: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in a stack, from one batched SVD: the count of
-    singular values above RANK_RTOL * sigma_max (0 for an all-zero matrix)."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+        return {**asdict(self), "accepted": self.accepted}
 
 
 def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
@@ -132,7 +114,7 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     one batched SVD per chunk of subspaces.
     """
     maps = np.stack(datum.maps)
-    rank_ok = (_ranks(maps) == datum.dprime).tolist()
+    rank_ok = (np.linalg.matrix_rank(maps, rtol=RANK_RTOL) == datum.dprime).tolist()
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
     with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
         residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
@@ -155,7 +137,7 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
         per_chunk = max(1, _CHUNK_FLOATS // (datum.m * datum.dprime * k))
         while chunk := list(itertools.islice(index_sets, per_chunk)):
             # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i]
-            ranks = _ranks(maps[:, :, np.array(chunk)].swapaxes(1, 2))
+            ranks = np.linalg.matrix_rank(maps[:, :, np.array(chunk)].swapaxes(1, 2), rtol=RANK_RTOL)
             rhs = 0.0
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
                 for w, r in zip(datum.weights.tolist(), ranks):
@@ -206,7 +188,7 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
     for _ in range(m):
         while True:
             L = rng.standard_normal((dprime, d))
-            if _ranks(L) == dprime:
+            if np.linalg.matrix_rank(L, rtol=RANK_RTOL) == dprime:
                 break
         maps.append(L)
     return BLDatum.from_maps(maps, np.full(m, w))

@@ -46,11 +46,19 @@ REJECTED_DATA = {
     "declared-shape": (_young_with(d=3), "declared shape (1x3) does not match maps (1x2)"),
     "flat-row-map": (_young_with(maps=[[1.0, 0.0], [[0.0, 1.0]], [[1.0, -1.0]]]), "map 0 is not a matrix"),
     "inf-entry": (_young_with().replace(b"-1.0", b"1e400"), "map 2 has non-finite entries"),  # JSON reads inf
+    # Python reads true as 1 and numpy as 1.0, so each of these would load
+    "bool-dprime": (_young_with(dprime=True), "bad.json: boolean true is not allowed"),
+    "bool-map-entry": (_young_with(maps=[[[True, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]]),
+                       "bad.json: boolean true is not allowed"),
+    "bool-weight": (_young_with(weights=[True, 2.0 / 3.0, 2.0 / 3.0]),
+                    "bad.json: boolean true is not allowed"),
 }
 REJECTED_MATRICES = {
     "no-n": ('{"data": [[1.0]]}', 'must have fields "n" and "data"'),
     "n-zero": ('{"n": 0, "data": []}', 'field "n" must be a positive integer'),
     "inf-entry": ('{"n": 1, "data": [[1e400]]}', "matrix entries must be finite"),
+    "bool-n": ('{"n": true, "data": [[2.0]]}', "bad.json: boolean true is not allowed"),
+    "bool-entry": ('{"n": 2, "data": [[true, 0.0], [0.0, 2.0]]}', "bad.json: boolean true is not allowed"),
 }
 
 
@@ -410,6 +418,21 @@ class TestBench:
             assert run["iterations_to_tol"] == (within[0] if within else None)
         if max_iter == 3:
             assert code == 2 and all(run["iterations_to_tol"] is None for run in solvers.values())
+
+    def test_bench_mu_no_listed_solver_reads_exits_1(self, capsys, monkeypatch, tmp_path, young_path):
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        out_dir = tmp_path / "b"
+        err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,rgd",
+                                "--mu", "0.5", "--out-dir", str(out_dir))
+        assert err == "blfix: error: --mu does not apply to --solvers g,rgd\n"
+        assert not out_dir.exists()
+
+    def test_bench_mu_reaches_gmu(self, capsys, tmp_path, young_path):
+        # a fixed mu keeps gmu off its epsilon target, so it runs to --max-iter
+        code, out = run_cli(capsys, "bench", "--datum", young_path, "--solvers", "g,gmu",
+                            "--mu", "0.5", "--max-iter", "100", "--out-dir", str(tmp_path / "b"))
+        solvers = json.loads(out)["solvers"]
+        assert code == 2 and [run["status"] for run in solvers.values()] == ["Converged", "MaxIter"]
 
     def test_bench_unknown_solver_exits_1(self, capsys, tmp_path, young_path):
         err = assert_error_exit(capsys, "bench", "--datum", young_path, "--solvers", "g,foo",

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -21,11 +23,17 @@ from blfix.datum import (
     load_datum,
     save_datum,
     validate,
-    _ranks,
 )
 from blfix.errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
 
 from conftest import FEASIBLE_SHAPES
+
+# The block data of tools/bits_gate.py, whose battery digests `check` on two of them.
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bits_gate.py")
+_spec = importlib.util.spec_from_file_location("bits_gate", _PATH)
+bits_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bits_gate)
+block_datum = bits_gate.block_datum
 
 
 def subdet_min_max_oracle(datum: BLDatum) -> float:
@@ -47,7 +55,8 @@ def validate_oracle(datum: BLDatum) -> dict:
     """validate() one rank at a time: each coordinate frame eye[:, idx] is
     multiplied into each map separately, and the weighted image dimensions are
     summed as Python floats, in the order of the maps."""
-    rank_ok = [int(_ranks(L)) == datum.dprime for L in datum.maps]
+    rtol = blfix.datum.RANK_RTOL
+    rank_ok = [int(np.linalg.matrix_rank(L, rtol=rtol)) == datum.dprime for L in datum.maps]
     violations = []
     rng = np.random.default_rng(0)
     eye = np.eye(datum.d)
@@ -62,7 +71,7 @@ def validate_oracle(datum: BLDatum) -> dict:
         for idx in index_sets:
             rhs = 0.0
             for L, w in zip(datum.maps, datum.weights.tolist()):
-                rhs += w * int(_ranks(L @ eye[:, list(idx)]))
+                rhs += w * int(np.linalg.matrix_rank(L @ eye[:, list(idx)], rtol=rtol))
             if k > rhs + 1e-9:
                 violations.append(f"coordinate subspace {idx}: dim {k} > weighted image dims {rhs:.6g}")
     report = validate(datum, subspace_checks=False).to_json_obj()
@@ -70,16 +79,6 @@ def validate_oracle(datum: BLDatum) -> dict:
     report.update(rank_ok=rank_ok, subspace_heuristic_ok=not violations,
                   sampled_violations=violations, accepted=accepted)
     return report
-
-
-def block_datum(d: int, dprime: int, m: int, seed: int) -> BLDatum:
-    """Uniform-weight maps that see only the first half of the coordinates, so
-    every coordinate subspace weighted toward the second half violates."""
-    rng = np.random.default_rng(seed)
-    half = d // 2
-    maps = [np.hstack([rng.standard_normal((dprime, half)), np.zeros((dprime, d - half))])
-            for _ in range(m)]
-    return BLDatum.from_maps(maps, np.full(m, d / (m * dprime)))
 
 
 def equivalence_data() -> list:
@@ -166,6 +165,17 @@ class TestValidate:
             monkeypatch.setattr(blfix.datum, "_CHUNK_FLOATS", chunk)
         for i, datum in enumerate(equivalence_data()):
             assert validate(datum).to_json_obj() == validate_oracle(datum), i
+
+    @pytest.mark.parametrize("subspace_checks", [True, False])
+    def test_json_obj_keys_and_types(self, subspace_checks):
+        obj = validate(gen_young(), subspace_checks=subspace_checks).to_json_obj()
+        assert list(obj) == ["rank_ok", "scaling_ok", "scaling_residual", "weight_range_ok",
+                             "subspace_heuristic_ok", "sampled_violations", "accepted"]
+        assert [type(v) for v in obj["rank_ok"]] == [bool] * 3
+        assert type(obj["scaling_ok"]) is bool and type(obj["weight_range_ok"]) is bool
+        assert type(obj["scaling_residual"]) is float and type(obj["accepted"]) is bool
+        assert obj["subspace_heuristic_ok"] is (True if subspace_checks else None)
+        assert type(obj["sampled_violations"]) is list
 
     def test_sampled_subspace_labels_are_plain_ints(self, monkeypatch):
         # beyond the cap the index sets come from the generator; their labels must
@@ -283,6 +293,28 @@ class TestCriticalC:
         for i, (d, dp, m) in enumerate([(5, 2, 3), (6, 3, 3), (8, 2, 5), (7, 1, 8)]):
             datum = gen_random(d, dp, m, seed=70 + i)
             assert critical_c(datum) == subdet_min_max_oracle(datum)
+
+
+def young_variant(maps=None, weights=None) -> BLDatum:
+    young = gen_young()
+    return BLDatum.from_maps(young.maps if maps is None else maps,
+                             young.weights if weights is None else weights)
+
+
+class TestEquality:
+    def test_equal_copies(self):
+        assert young_variant() == gen_young()
+
+    @pytest.mark.parametrize("other", [
+        young_variant(maps=[[[1.0, 0.0]], [[0.0, 1.0]]], weights=[1.0, 1.0]),
+        young_variant(maps=[np.eye(2)] * 3),
+        young_variant(maps=[[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[1.0, -1.0, 0.0]]]),
+        young_variant(weights=[2.0 / 3.0, 2.0 / 3.0, 0.5]),
+        young_variant(maps=[[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, -1.5]]]),
+        datum_to_json_obj(gen_young()),
+    ], ids=["m", "dprime", "d", "weight", "map-entry", "not-a-datum"])
+    def test_unequal(self, other):
+        assert gen_young() != other and other != gen_young()
 
 
 class TestPersistence:

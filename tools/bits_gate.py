@@ -24,7 +24,12 @@ The battery, from the identity start:
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
-  and `metric thompson` and `metric hilbert` on two random 8x8 matrices.
+  and `metric thompson` and `metric hilbert` on two random 8x8 matrices;
+- `check` on three infeasible data, so its violation lists are digested: the
+  crafted datum, and the block data block_datum(6, 3, 4, seed=0) and
+  block_datum(17, 2, 9, seed=0), whose maps see only the first half of the
+  coordinates. The last has more coordinate subspaces per middle dimension
+  than validate enumerates, so its violations come from the seed-0 draws.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -52,6 +57,7 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (1, 2)
 LEVELS = ("summary", "full")
 CLI_SOLVERS = ("g", "gmu", "gtilde", "rgd")
+CRAFTED = ([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])  # maps x, x, y: infeasible
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
 
 
@@ -76,8 +82,23 @@ def battery() -> dict:
     young = blfix.gen_young()
     for c in (1e-3, 1e3):
         data[f"young*{c:g}"] = blfix.BLDatum.from_maps([c * np.asarray(L) for L in young.maps], young.weights)
-    data["crafted"] = blfix.BLDatum.from_maps([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])
+    data["crafted"] = blfix.BLDatum.from_maps(*CRAFTED)
     return data
+
+
+def block_datum(d: int, dprime: int, m: int, seed: int):
+    """Uniform-weight maps [B_j | 0] with standard normal B_j on the first
+    d // 2 coordinates, so every coordinate subspace weighted toward the second
+    half violates. tests/test_datum.py uses the same data."""
+    import numpy as np
+
+    import blfix
+
+    rng = np.random.default_rng(seed)
+    half = d // 2
+    maps = [np.hstack([rng.standard_normal((dprime, half)), np.zeros((dprime, d - half))])
+            for _ in range(m)]
+    return blfix.BLDatum.from_maps(maps, np.full(m, d / (m * dprime)))
 
 
 def solver_digest(datum, solver: str, level: str) -> dict:
@@ -152,6 +173,12 @@ def cli_battery() -> dict:
                 for limit in ([], ["--max-iter", "3"]):
                     commands.append(["bench", "--datum", datum, "--solvers", ",".join(CLI_SOLVERS),
                                      *limit, "--out-dir", "out/bench"])
+            infeasible = {"crafted.json": blfix.BLDatum.from_maps(*CRAFTED),
+                          "block6.json": block_datum(6, 3, 4, seed=0),
+                          "block17.json": block_datum(17, 2, 9, seed=0)}
+            for name, datum in infeasible.items():
+                blfix.save_datum(datum, name)
+                commands.append(["check", name])
             for argv in commands:
                 out[" ".join(argv)] = cli_digest(argv)
         finally:
