@@ -38,16 +38,16 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _reject_constant(token: str):
-    raise ParseError(f"non-finite number {token!r} is not allowed")
+    raise ValueError(f"non-finite number {token!r} is not allowed")
 
 
 def read_json(path: str, convert):
     """Read the JSON file at path and return convert(obj) of its content.
 
-    NaN and Infinity are rejected. Malformed input raises ParseError naming the
-    file: text that is not UTF-8, bad or too deeply nested JSON, a boolean
-    anywhere (no field is one, and numpy would read true as 1.0), and entries
-    that convert cannot use (a ValueError or TypeError inside it, such as a
+    Malformed input raises ParseError naming the file: text that is not
+    UTF-8, bad or too deeply nested JSON, NaN or Infinity, a boolean anywhere
+    (no field is one, and numpy would read true as 1.0), and entries that
+    convert cannot use (a ValueError or TypeError inside it, such as a
     non-numeric entry or a ragged row).
     """
     try:
@@ -55,7 +55,7 @@ def read_json(path: str, convert):
             obj = json.loads(fh.read(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or a NaN or Infinity
         raise ParseError(f"{path}: {exc}") from exc
     todo = [obj]
     while todo:

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
@@ -151,14 +153,15 @@ class _Whitened:
     orthonormal rows. The m triangular solves take one of two routes, chosen
     by the block size d'. Below PER_MAP_SOLVE_DPRIME they are one dtrsm
     against the md' x md' block diagonal of the C_j, (md')^2 d flops in one
-    call; from it on they are m dtrsm calls of d'^2 d flops each, in place on
-    the columns of M^T. Each L_j is first divided by 2^e_j, e_j the binary
-    exponent of its largest entry. That is exact and leaves P and the W_j
-    unchanged, so no pushforward can overflow or underflow; F moves by
-    2 ln2 d' sum_j w_j e_j, which is added back. `step_len` is the Thompson
-    length of the step that reached the iterate. `log_lo` and `log_hi` bound
-    the logs of X's extreme eigenvalues; `eig_range` holds them once computed,
-    else nans.
+    call; `diag_blocks`, a strided view of its m diagonal blocks, takes the
+    C_j in one copy, and the zeros off them are never written. From it on
+    they are m dtrsm calls of d'^2 d flops each, in place on the columns of
+    M^T. Each L_j is first divided by 2^e_j, e_j the binary exponent of its
+    largest entry. That is exact and leaves P and the W_j unchanged, so no
+    pushforward can overflow or underflow; F moves by 2 ln2 d' sum_j w_j e_j,
+    which is added back. `step_len` is the Thompson length of the step that
+    reached the iterate. `log_lo` and `log_hi` bound the logs of X's extreme
+    eigenvalues; `eig_range` holds them once computed, else nans.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -172,10 +175,9 @@ class _Whitened:
         self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
         self.blocks = None  # the per-map route
         if datum.dprime < PER_MAP_SOLVE_DPRIME:
-            rows = np.arange(self.maps.shape[0]).reshape(datum.m, datum.dprime)
-            self.block_idx = (np.repeat(rows, datum.dprime, axis=1).ravel(),
-                              np.tile(rows, datum.dprime).ravel())
-            self.blocks = np.zeros((rows.size, rows.size), order="F")
+            dp, self.blocks = datum.dprime, np.zeros((len(self.maps),) * 2, order="F")
+            row, col = self.blocks.strides  # diag_blocks[j] is blocks[j*dp:(j+1)*dp, j*dp:(j+1)*dp]
+            self.diag_blocks = as_strided(self.blocks, (datum.m, dp, dp), (dp * (row + col), row, col))
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
         self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
@@ -191,7 +193,7 @@ class _Whitened:
                 dtrsm(1.0, cj.T, mt[:, j * dp:(j + 1) * dp], side=1, lower=0, overwrite_b=1)
             diag = c.diagonal(0, 1, 2).ravel()
         else:
-            self.blocks[self.block_idx] = c.ravel()
+            self.diag_blocks[...] = c
             m, diag = dtrsm(1.0, self.blocks, m, lower=1), self.blocks.diagonal()
         w = self.sqrt_w * m
         self.s = w.T @ w
@@ -224,15 +226,18 @@ class _Whitened:
         """Move this evaluated iterate, in place, to its image under the solver's map.
 
         Here G(X) = S^{-1} and G_mu(X) = (S + mu T^T T)^{-1}; with that matrix
-        factored as R R^T, the next T is T R^{-T}. The Thompson metric is
-        congruence invariant, so the step's length is max |log eig| of the
-        matrix, shifted by the log of the trace that G~ divides by.
+        factored as R R^T by LAPACK's dpotrf, the next T is T R^{-T}. The
+        Thompson metric is congruence invariant, so the step's length is
+        max |log eig| of the matrix, shifted by the log of the trace that G~
+        divides by.
         """
         s = self.s + mu * (self.t.T @ self.t) if solver == "regularized" else self.s
-        r = cholesky(s)
+        r, info = dpotrf(s, lower=1)
+        if info:
+            raise CholeskyFailure("matrix is not positive definite")
         lam = sym_eig(s, vectors=False)
         self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
-        self.log_det_t, shift = self.log_det_t - float(np.sum(np.log(np.diag(r)))), 0.0
+        self.log_det_t, shift = self.log_det_t - float(np.log(r.diagonal()).sum()), 0.0
         if solver == "normalized":
             shift = math.log(np.vdot(self.t, self.t))  # the log of the trace of T T^T
             self.t, self.t_inv = self.t * math.exp(-0.5 * shift), self.t_inv * math.exp(0.5 * shift)
@@ -398,7 +403,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
             r_base = max(1.0, x.eig_range[1])
             mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
             trace.mu_events.append((0, mu))
-        f_mu = x.value + mu * float(np.vdot(x.t, x.t))  # trace(X) = |t|_F^2
+        f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
         grad_norm = math.nan
         if full:
             grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))

@@ -52,6 +52,11 @@ REJECTED_DATA = {
                        "bad.json: boolean true is not allowed"),
     "bool-weight": (_young_with(weights=[True, 2.0 / 3.0, 2.0 / 3.0]),
                     "bad.json: boolean true is not allowed"),
+    # json.dumps writes these as the bare tokens NaN and -Infinity
+    "nan-weight": (_young_with(weights=[math.nan, 2.0 / 3.0, 2.0 / 3.0]),
+                   "bad.json: non-finite number 'NaN' is not allowed"),
+    "minus-infinity-entry": (_young_with(maps=[[[-math.inf, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]]),
+                             "bad.json: non-finite number '-Infinity' is not allowed"),
 }
 REJECTED_MATRICES = {
     "no-n": ('{"data": [[1.0]]}', 'must have fields "n" and "data"'),
@@ -59,6 +64,9 @@ REJECTED_MATRICES = {
     "inf-entry": ('{"n": 1, "data": [[1e400]]}', "matrix entries must be finite"),
     "bool-n": ('{"n": true, "data": [[2.0]]}', "bad.json: boolean true is not allowed"),
     "bool-entry": ('{"n": 2, "data": [[true, 0.0], [0.0, 2.0]]}', "bad.json: boolean true is not allowed"),
+    "nan-entry": ('{"n": 1, "data": [[NaN]]}', "bad.json: non-finite number 'NaN' is not allowed"),
+    "minus-infinity-entry": ('{"n": 1, "data": [[-Infinity]]}',
+                             "bad.json: non-finite number '-Infinity' is not allowed"),
 }
 
 

@@ -14,7 +14,8 @@ import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
-from blfix.errors import ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure, ValidationFailed
+from blfix.errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
+                          ValidationFailed)
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -44,6 +45,12 @@ def crafted_infeasible_datum() -> BLDatum:
     """Hard checks pass, but the second axis is starved; no finite fixed point."""
     maps = [[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]
     return BLDatum.from_maps(maps, [0.9, 0.9, 0.2])
+
+
+def common_kernel_datum() -> BLDatum:
+    """Hard checks pass, but every map kills e_2, so S is singular from the
+    first step on (defect 5(c))."""
+    return BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)
 
 
 class TestStepG:
@@ -182,7 +189,7 @@ class TestWhitenedKernel:
         elif i == len(FEASIBLE_SHAPES):
             datum = gen_random(25, 1, 30, 0)
         else:
-            datum = BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)
+            datum = common_kernel_datum()
         r = datum.d / datum.dprime
         c = min((1.0 - eta) / (1.0 + eta * (r - 1.0)), 1.0 - eta * math.exp(eta) / 2.0)
         for x in (SpdMatrix.identity(datum.d), rand_spd(np.random.default_rng(100 + i), datum.d)):
@@ -207,6 +214,36 @@ class TestWhitenedKernel:
             want = root @ scipy.linalg.expm(-eta * inv_root @ xi @ inv_root) @ root
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert abs(moved.step_len - thompson(SpdMatrix(got), x)) <= 1e-12
+
+    @pytest.mark.parametrize("i", [*range(len(FEASIBLE_SHAPES)), len(FEASIBLE_SHAPES) + 2])
+    def test_block_view_holds_the_gram_factors(self, i):
+        # the block-diagonal route writes the C_j through a strided view of
+        # `blocks`; here at x, then at three iterates past it
+        datum, x = self.point(i)
+        assert datum.dprime < PER_MAP_SOLVE_DPRIME
+        frame = _Whitened(datum, x)
+        off = np.kron(1.0 - np.eye(datum.m), np.ones((datum.dprime, datum.dprime))) == 1.0
+        for _ in range(4):
+            stacked = (frame.maps @ frame.t).reshape(frame.shape)
+            want = scipy.linalg.block_diag(*np.linalg.cholesky(stacked @ stacked.transpose(0, 2, 1)))
+            frame.evaluate()
+            assert np.array_equal(frame.blocks, want) and not np.any(frame.blocks[off])
+            frame.advance("plain_g")
+
+    def test_step_factor_is_not_numpy(self, monkeypatch):
+        # advance factors S by dpotrf; numpy's cholesky is left to the
+        # batched Gram blocks, one stack per evaluated iterate
+        datum, ndims, original = feasible_datum(3), [], np.linalg.cholesky
+        x0 = SpdMatrix.identity(datum.d)
+
+        def counting(a, *args, **kwargs):
+            ndims.append(np.ndim(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        result, trace = solve_fixed_point(datum, SolveConfig(solver="plain_g", x0=x0))
+        assert result.converged and result.iterations > 1
+        assert ndims == [3] * len(trace.rows)
 
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_start_point_does_not_change_the_constant(self, i):
@@ -339,6 +376,21 @@ class TestSolveFixedPoint:
         )
         assert res.status == INFEASIBILITY_SUSPECTED
         assert not res.converged
+
+    @pytest.mark.parametrize("solver", ["plain_g", "normalized"])
+    def test_singular_step_matrix_names_the_iteration(self, solver):
+        # on a common kernel, S from iterate 1 is singular: its factor fails
+        with pytest.raises(CholeskyFailure, match=r"^iteration 1: matrix is not positive definite$"):
+            solve_fixed_point(common_kernel_datum(), SolveConfig(solver=solver))
+
+    def test_singular_step_matrix(self):
+        with pytest.raises(CholeskyFailure, match=r"^matrix is not positive definite$"):
+            step_G(common_kernel_datum(), SpdMatrix.identity(2))
+
+    def test_common_kernel_regularized_is_flagged(self):
+        # mu T^T T keeps the step's matrix definite, and the iterate blows up
+        res, _ = solve_fixed_point(common_kernel_datum(), SolveConfig(solver="regularized"))
+        assert res.status == INFEASIBILITY_SUSPECTED and res.iterations == 2
 
     @pytest.mark.parametrize("solver", ["plain_g", "normalized"])
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))

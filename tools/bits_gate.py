@@ -19,8 +19,10 @@ threads, with the parent unpacked by `git archive`:
 The battery, from the identity start:
 - all four solvers at trace levels "summary" and "full" on perfbench's
   fp-small, fp-large and rgd data at seeds 1 and 2, on the 14 small shapes
-  gen_random(*shape, seed=i), on Young scaled by 1e-3 and 1e3, and on the
-  crafted infeasible datum;
+  gen_random(*shape, seed=i), on Young scaled by 1e-3 and 1e3, on the
+  crafted infeasible datum, and on the common-kernel datum (three copies of
+  the map [1, 0], each of weight 2/3), where the step's factor fails, so the
+  error type and the iteration it names are digested;
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
@@ -58,6 +60,7 @@ SEEDS = (1, 2)
 LEVELS = ("summary", "full")
 CLI_SOLVERS = ("g", "gmu", "gtilde", "rgd")
 CRAFTED = ([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])  # maps x, x, y: infeasible
+COMMON_KERNEL = ([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)  # every map kills e_2: S is singular
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
 
 
@@ -83,6 +86,7 @@ def battery() -> dict:
     for c in (1e-3, 1e3):
         data[f"young*{c:g}"] = blfix.BLDatum.from_maps([c * np.asarray(L) for L in young.maps], young.weights)
     data["crafted"] = blfix.BLDatum.from_maps(*CRAFTED)
+    data["common-kernel"] = blfix.BLDatum.from_maps(*COMMON_KERNEL)
     return data
 
 
