@@ -14,6 +14,7 @@ wall-time and time_ns fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -219,6 +220,7 @@ def cmd_bench(args) -> int:
     return worst
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="blfix", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

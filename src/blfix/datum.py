@@ -81,7 +81,9 @@ class ValidationReport:
 
     The subspace check is a heuristic over coordinate subspaces: it can exhibit
     violations but never proves feasibility. `subspace_heuristic_ok is None`
-    means the heuristic was skipped.
+    means the heuristic was skipped. The report does not depend on which maps
+    the minor certificate in validate() covers: it only skips SVDs whose
+    ranks it proves.
     """
 
     rank_ok: list
@@ -99,6 +101,41 @@ class ValidationReport:
         return {**asdict(self), "accepted": self.accepted}
 
 
+def _sigma_min_bounds(minors: np.ndarray) -> np.ndarray:
+    """Guggenheimer-Edelman-Johnson lower bounds on sigma_min of each n x n
+    matrix A in a stack, sigma_min(A) >= |det A| ((n-1) / |A|_F^2)^((n-1)/2),
+    with |det A| the product of |R_ii| from a batched Householder QR, which is
+    backward stable with no growth factor. A zero matrix gets 0, without a warning.
+    """
+    n = minors.shape[-1]
+    r = np.abs(np.linalg.qr(minors, mode="r").diagonal(axis1=1, axis2=2))
+    if n == 1:
+        return r[:, 0]
+    fro = np.linalg.norm(minors, axis=(1, 2))[:, None]
+    # |det A| (n-1)^((n-1)/2) / |A|_F^(n-1), one factor per R_ii, so nothing overflows
+    rel = np.divide(r * math.sqrt(n - 1), fro, out=np.zeros_like(r), where=fro > 0)
+    return fro[:, 0] / math.sqrt(n - 1) * rel.prod(axis=1)
+
+
+def _uniform_maps(datum: BLDatum) -> np.ndarray:
+    """uniform[j]: every dprime x dprime column minor of L_j has its bound above
+    2 * RANK_RTOL * |L_j|_F, tested in chunks of minors bounded by _CHUNK_FLOATS.
+    No map is uniform when dprime > d or comb(d, dprime) > _COORD_SUBSPACE_CAP.
+    """
+    uniform = np.zeros(datum.m, dtype=bool)
+    if not 0 < math.comb(datum.d, datum.dprime) <= _COORD_SUBSPACE_CAP:
+        return uniform
+    per_chunk = max(1, _CHUNK_FLOATS // datum.dprime**2)
+    for j, L in enumerate(datum.maps):
+        a = L / (np.abs(L).max() or 1.0)  # entries in [-1, 1]: no norm over- or underflows
+        floor = 2 * RANK_RTOL * np.linalg.norm(a)
+        index_sets = itertools.combinations(range(datum.d), datum.dprime)
+        chunks = iter(lambda: list(itertools.islice(index_sets, per_chunk)), [])
+        uniform[j] = all(np.all(_sigma_min_bounds(a[:, np.array(c)].swapaxes(0, 1)) > floor)
+                         for c in chunks)
+    return uniform
+
+
 def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
     """Validate a datum for solving.
 
@@ -110,8 +147,19 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     fixed seed 0, so every run tests the same ones. Generic subspaces are not
     tried: once the hard checks pass, a generic k-dimensional H has
     dim L_j H = min(k, dprime), and sum_j w_j min(k, dprime) >= k. It reports
-    only "no violation found", never a proof. The images L_j H are ranked by
-    one batched SVD per chunk of subspaces.
+    only "no violation found", never a proof.
+
+    The images L_j H are ranked by one batched SVD per chunk of subspaces,
+    except on a uniform map (_uniform_maps), whose every coordinate image has
+    rank min(k, dprime). Proof: let every dprime x dprime column minor of L_j
+    have sigma_min > 2 RANK_RTOL |L_j|_F. A column set J with |J| <= dprime
+    lies in such a minor, so by interlacing all of L_j[:, J]'s |J| singular
+    values exceed it; one with |J| > dprime contains such a minor, so
+    sigma_dprime(L_j[:, J]) exceeds it too. Since |L_j|_F >= sigma_1(L_j[:, J]),
+    matrix_rank(L_j[:, J], rtol=RANK_RTOL) is min(|J|, dprime); the factor 2
+    covers the rounding of the computed bound and singular values, about 1e-15
+    relative. The certificate runs only while dprime <= d and comb(d, dprime)
+    <= _COORD_SUBSPACE_CAP; other maps, and all maps beyond that, take the SVD.
     """
     maps = np.stack(datum.maps)
     rank_ok = (np.linalg.matrix_rank(maps, rtol=RANK_RTOL) == datum.dprime).tolist()
@@ -123,6 +171,8 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     if not subspace_checks:
         return ValidationReport(rank_ok, scaling_ok, residual, weight_range_ok, None)
 
+    uniform = _uniform_maps(datum)
+    ranked = maps[~uniform]
     violations = []
     rng = np.random.default_rng(0)
     for k in range(1, datum.d):
@@ -136,8 +186,12 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
             index_sets = itertools.islice(fresh, _COORD_SUBSPACE_CAP)
         per_chunk = max(1, _CHUNK_FLOATS // (datum.m * datum.dprime * k))
         while chunk := list(itertools.islice(index_sets, per_chunk)):
-            # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i]
-            ranks = np.linalg.matrix_rank(maps[:, :, np.array(chunk)].swapaxes(1, 2), rtol=RANK_RTOL)
+            # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i];
+            # the SVDs run only on the maps that are not uniform
+            ranks = np.full((datum.m, len(chunk)), min(k, datum.dprime))
+            if len(ranked):
+                ranks[~uniform] = np.linalg.matrix_rank(ranked[:, :, np.array(chunk)].swapaxes(1, 2),
+                                                        rtol=RANK_RTOL)
             rhs = 0.0
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
                 for w, r in zip(datum.weights.tolist(), ranks):

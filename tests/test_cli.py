@@ -11,9 +11,18 @@ import warnings
 import numpy as np
 import pytest
 
+import blfix.cli
 import blfix.matcore
 from blfix.cli import main
-from blfix.datum import BLDatum, datum_to_json_obj, gen_random, gen_young, load_datum, save_datum
+from blfix.datum import (
+    BLDatum,
+    datum_to_json_obj,
+    gen_holder,
+    gen_random,
+    gen_young,
+    load_datum,
+    save_datum,
+)
 from blfix.errors import TooLarge
 from blfix.matcore import SpdMatrix, save_matrix
 
@@ -123,6 +132,21 @@ class TestGen:
         run_cli(capsys, "gen", "random", "--d", "4", "--dprime", "2", "--m", "4",
                 "--seed", "7", "--out", b)
         assert open(a).read() == open(b).read()
+
+    def test_parser_built_once_keeps_no_state_between_calls(self, capsys, tmp_path, young_path):
+        assert blfix.cli._build_parser() is blfix.cli._build_parser()
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        run_cli(capsys, "gen", "random", "--d", "6", "--dprime", "3", "--m", "5", "--seed", "4", "--out", a)
+        assert run_cli(capsys, "check", a)[0] == 0
+        run_cli(capsys, "gen", "holder", "--out", b)
+        assert load_datum(a) == gen_random(6, 3, 5, 4)
+        assert load_datum(b) == gen_holder(2, 3)  # the defaults, not the first call's flags
+        parser = blfix.cli._build_parser()
+        first = parser.parse_args(["solve", young_path, "--solver", "g", "--tol", "1e-3", "--max-iter", "5"])
+        second = parser.parse_args(["solve", young_path])
+        assert (first.solver, first.tol, first.max_iter) == ("g", 1e-3, 5)
+        assert (second.solver, second.tol, second.max_iter) == ("gmu", None, None)
+        assert not hasattr(second, "argv_echo")
 
 
 class TestSolve:

@@ -84,9 +84,10 @@ def validate_oracle(datum: BLDatum) -> dict:
 def equivalence_data() -> list:
     crafted = BLDatum.from_maps([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])
     c, s = math.cos(0.3), math.sin(0.3)
+    base, cli = gen_random(6, 3, 4, 5), gen_random(10, 5, 8, 0)
     data = [gen_random(d, dp, m, seed=100 + i) for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES)]
     return data + [
-        gen_random(10, 5, 8, 0),
+        cli,
         gen_young(),
         gen_holder(3, 2),
         BLDatum.from_maps([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1e-9]]], [2.0 / 3.0] * 3),
@@ -94,11 +95,28 @@ def equivalence_data() -> list:
         BLDatum.from_maps([L @ np.array([[c, -s], [s, c]]) for L in crafted.maps], crafted.weights),
         BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3),  # a common kernel
         BLDatum.from_maps([np.eye(2)] * 3, [0.5, 0.5, 0.5]),  # bad scaling
+        BLDatum.from_maps(base.maps, [0.25] * 4),  # too light: every subspace of dim >= 4 violates
         BLDatum.from_maps([[[1.0, 1.0]], [[1.0, -1.0]]], [1e308, 1e308]),
         BLDatum.from_maps([np.eye(3)] * 2, [-1e308, 1e308]),  # the sum reaches -inf + inf
+        BLDatum.from_maps([[[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]], np.ones((3, 2))], [0.5, 0.5]),  # dprime > d
         block_datum(6, 3, 4, 0),
         block_datum(10, 2, 5, 1),
+        *(near_parallel_datum(delta) for delta in (1e-8, 1e-10, 1e-12)),
+        BLDatum.from_maps([L * [1, 1, 1e6, 1, 1, 1] if j == 0 else L for j, L in enumerate(base.maps)],
+                          base.weights),  # one column scaled by 1e6
+        *(BLDatum.from_maps([c * L for L in cli.maps], cli.weights) for c in (1e-150, 1e150)),
     ]
+
+
+def near_parallel_datum(delta: float) -> BLDatum:
+    """gen_random(6, 3, 4, 5) with map 0's column 1 parallel to its column 0
+    within delta relative: column 1 = column 0 + delta |column 0| u, u a unit
+    vector orthogonal to column 0."""
+    datum = gen_random(6, 3, 4, 5)
+    L = datum.maps[0].copy()
+    u = L[:, 2] - L[:, 2] @ L[:, 0] / (L[:, 0] @ L[:, 0]) * L[:, 0]
+    L[:, 1] = L[:, 0] + delta * np.linalg.norm(L[:, 0]) * u / np.linalg.norm(u)
+    return BLDatum.from_maps([L, *datum.maps[1:]], datum.weights)
 
 
 class TestValidate:
@@ -165,6 +183,60 @@ class TestValidate:
             monkeypatch.setattr(blfix.datum, "_CHUNK_FLOATS", chunk)
         for i, datum in enumerate(equivalence_data()):
             assert validate(datum).to_json_obj() == validate_oracle(datum), i
+
+    @pytest.mark.parametrize("datum, uniform, calls", [
+        (gen_random(10, 5, 8, 0), [True] * 8, 1),  # the hard check only
+        (block_datum(6, 3, 4, 0), [False] * 4, 1 + 5),  # and one SVD stack per k
+    ], ids=["cli-datum", "block-6-3-4"])
+    def test_uniform_maps_skip_the_svd(self, monkeypatch, datum, uniform, calls):
+        seen = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, **kw: seen.append(a.shape) or rank(a, **kw))
+        assert blfix.datum._uniform_maps(datum).tolist() == uniform
+        report = validate(datum)
+        assert len(seen) == calls and seen[0] == (datum.m, datum.dprime, datum.d)
+        monkeypatch.setattr(np.linalg, "matrix_rank", rank)
+        assert report.to_json_obj() == validate_oracle(datum)
+
+    def test_uniform_map_has_full_rank_on_every_coordinate_subspace(self):
+        # the certificate's claim itself, map by map, also where no violation depends on it
+        certified = 0
+        for i, datum in enumerate(equivalence_data()):
+            for L, uniform in zip(datum.maps, blfix.datum._uniform_maps(datum)):
+                certified += bool(uniform)
+                for k in range(1, datum.d) if uniform else ():
+                    sets = np.array(list(itertools.combinations(range(datum.d), k)))
+                    ranks = np.linalg.matrix_rank(L[:, sets].swapaxes(0, 1), rtol=blfix.datum.RANK_RTOL)
+                    assert np.all(ranks == min(k, datum.dprime)), (i, k)
+        assert certified > 100
+
+    def test_uniform_needs_every_minor(self):
+        # one near-dependent column pair, or a zero column, leaves the map to the SVD
+        assert blfix.datum._uniform_maps(near_parallel_datum(1e-12)).tolist() == [False, True, True, True]
+        datum = gen_random(6, 3, 4, 5)
+        zero = BLDatum.from_maps([datum.maps[0] * [1, 1, 1, 0, 1, 1], *datum.maps[1:]], datum.weights)
+        assert blfix.datum._uniform_maps(zero).tolist() == [False, True, True, True]
+        assert blfix.datum._uniform_maps(gen_young()).tolist() == [False, False, True]
+
+    def test_no_certificate_beyond_the_cap(self, monkeypatch):
+        monkeypatch.setattr(blfix.datum, "_COORD_SUBSPACE_CAP", math.comb(10, 5) - 1)
+        assert not blfix.datum._uniform_maps(gen_random(10, 5, 8, 0)).any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sigma_min_bound_never_exceeds_the_svd(self, n):
+        # minors with columns 0 and 1 parallel within 1e-1 ... 1e-16, and zero minors;
+        # both sides are computed, so they may differ by rounding, n eps |A|_F
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((16, 400, n, n))
+        if n > 1:
+            a[:, :, :, 0] = a[:, :, :, 1] + 10.0 ** -np.arange(1, 17)[:, None, None] * a[:, :, :, 0]
+        a = np.concatenate([a.reshape(-1, n, n), np.zeros((3, n, n))])
+        bound = blfix.datum._sigma_min_bounds(a)
+        sigma_min = np.linalg.svd(a, compute_uv=False)[:, -1]
+        eps = np.finfo(float).eps
+        assert np.all(bound <= sigma_min + n * eps * np.linalg.norm(a, axis=(1, 2)))
+        assert np.all(bound[-3:] == 0.0) and np.all(bound >= 0.0)
 
     @pytest.mark.parametrize("subspace_checks", [True, False])
     def test_json_obj_keys_and_types(self, subspace_checks):

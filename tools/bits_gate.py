@@ -31,7 +31,10 @@ The battery, from the identity start:
   crafted datum, and the block data block_datum(6, 3, 4, seed=0) and
   block_datum(17, 2, 9, seed=0), whose maps see only the first half of the
   coordinates. The last has more coordinate subspaces per middle dimension
-  than validate enumerates, so its violations come from the seed-0 draws.
+  than validate enumerates, so its violations come from the seed-0 draws;
+- `check` on a feasible datum whose map 0 is not uniform (near_dependent_datum:
+  column 1 within 1e-12 of column 0), so validate ranks that map's coordinate
+  images by SVD and the other maps' by the minor certificate.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -103,6 +106,17 @@ def block_datum(d: int, dprime: int, m: int, seed: int):
     maps = [np.hstack([rng.standard_normal((dprime, half)), np.zeros((dprime, d - half))])
             for _ in range(m)]
     return blfix.BLDatum.from_maps(maps, np.full(m, d / (m * dprime)))
+
+
+def near_dependent_datum():
+    """gen_random(8, 4, 6, seed=3) with column 1 of map 0 replaced by
+    column 0 + 1e-12 * column 2: still feasible, but no longer certified."""
+    import blfix
+
+    datum = blfix.gen_random(8, 4, 6, seed=3)
+    L = datum.maps[0].copy()
+    L[:, 1] = L[:, 0] + 1e-12 * L[:, 2]
+    return blfix.BLDatum.from_maps([L, *datum.maps[1:]], datum.weights)
 
 
 def solver_digest(datum, solver: str, level: str) -> dict:
@@ -177,10 +191,11 @@ def cli_battery() -> dict:
                 for limit in ([], ["--max-iter", "3"]):
                     commands.append(["bench", "--datum", datum, "--solvers", ",".join(CLI_SOLVERS),
                                      *limit, "--out-dir", "out/bench"])
-            infeasible = {"crafted.json": blfix.BLDatum.from_maps(*CRAFTED),
-                          "block6.json": block_datum(6, 3, 4, seed=0),
-                          "block17.json": block_datum(17, 2, 9, seed=0)}
-            for name, datum in infeasible.items():
+            checked = {"crafted.json": blfix.BLDatum.from_maps(*CRAFTED),
+                       "block6.json": block_datum(6, 3, 4, seed=0),
+                       "block17.json": block_datum(17, 2, 9, seed=0),
+                       "near-dependent.json": near_dependent_datum()}
+            for name, datum in checked.items():
                 blfix.save_datum(datum, name)
                 commands.append(["check", name])
             for argv in commands:
