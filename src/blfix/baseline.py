@@ -11,6 +11,7 @@ reproducible competitor for the fixed-point solvers without a line search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,8 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
     """
 
     def check(k, x):
-        rnorm = float(np.linalg.norm(x.s - np.eye(datum.d)))
+        g = x.s - x.eye
+        rnorm = math.sqrt(np.vdot(g, g))  # |S - I|_F, as np.linalg.norm computes it
         return x.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
     def step(x):

@@ -48,8 +48,8 @@ class BLDatum:
             if not np.all(np.isfinite(a)):
                 raise ShapeMismatch(f"map {j} has non-finite entries")
             mats.append(a)
-        if not mats:
-            raise ShapeMismatch("a datum needs at least one map")
+        if not mats or 0 in mats[0].shape:  # every map has map 0's shape, checked below
+            raise ShapeMismatch("a datum needs at least one map, with dprime >= 1 rows and d >= 1 columns")
         dprime, d = mats[0].shape
         for j, a in enumerate(mats):
             if a.shape != (dprime, d):

@@ -141,10 +141,12 @@ def sym_eig(s, vectors: bool = True):
 
 
 def sym_op_norm(s) -> float:
-    """Operator (spectral) norm of a symmetric matrix with finite entries: max |eigenvalue|."""
+    """Operator (spectral) norm of a symmetric matrix with finite entries: the larger
+    |eigenvalue| at the two ends of sym_eig's ascending spectrum, +0.0 for a zero matrix."""
     if not np.isfinite(_mat(s)).all():
         raise InvalidArgument("matrix entries must be finite")
-    return float(np.max(np.abs(sym_eig(s, vectors=False))))
+    v = sym_eig(s, vectors=False)
+    return float(max(abs(v[0]), abs(v[-1])))
 
 
 def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:

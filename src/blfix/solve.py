@@ -178,7 +178,8 @@ class _Whitened:
             dp, self.blocks = datum.dprime, np.zeros((len(self.maps),) * 2, order="F")
             row, col = self.blocks.strides  # diag_blocks[j] is blocks[j*dp:(j+1)*dp, j*dp:(j+1)*dp]
             self.diag_blocks = as_strided(self.blocks, (datum.m, dp, dp), (dp * (row + col), row, col))
-        self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, np.eye(x.n), lower=1)
+        self.eye = np.eye(x.n)  # the run's one identity: S - I, and mu I in a full trace's grad_norm
+        self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, self.eye, lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
         self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
 
@@ -204,7 +205,7 @@ class _Whitened:
     @property
     def gradient(self) -> np.ndarray:
         """T^{-T} (S - I) T^{-1}, the gradient of F, computed on each access."""
-        g = self.t_inv.T @ (self.s - np.eye(len(self.s))) @ self.t_inv
+        g = self.t_inv.T @ (self.s - self.eye) @ self.t_inv
         return 0.5 * (g + g.T)
 
     def spectrum(self) -> None:
@@ -248,12 +249,12 @@ class _Whitened:
     def descend(self, eta: float) -> "_Whitened":
         """Move this evaluated iterate, in place, by RGD's step Exp_X(-eta xi):
         with T^{-1} xi T^{-T} = S - I = V Lam V^T, T <- T V exp(-eta Lam / 2), a
-        step of Thompson length eta max |Lam|."""
-        lam, vecs = sym_eig(self.s - np.eye(len(self.s)))
+        step of Thompson length eta max |Lam|, at an end of the ascending Lam."""
+        lam, vecs = sym_eig(self.s - self.eye)
         half = np.exp(-0.5 * eta * lam)
         self.t, self.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
-        self.log_det_t -= 0.5 * eta * float(np.sum(lam))
-        self.step_len = eta * float(np.max(np.abs(lam)))
+        self.log_det_t -= 0.5 * eta * float(lam.sum())
+        self.step_len = eta * float(max(abs(lam[0]), abs(lam[-1])))
         return self
 
 
@@ -406,7 +407,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
         f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
         grad_norm = math.nan
         if full:
-            grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * np.eye(datum.d))
+            grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * x.eye)
         lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi

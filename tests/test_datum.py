@@ -316,6 +316,14 @@ class TestGenerators:
         with pytest.raises(ShapeMismatch, match="expected 3 weights"):
             BLDatum.from_maps(gen_young().maps, [1.0])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no-rows", "no-columns"])
+    def test_from_maps_rejects_empty_maps(self, shape):
+        # validate and critical_c would divide by dprime, or rank nothing
+        with pytest.raises(ShapeMismatch, match="dprime >= 1 rows and d >= 1 columns"):
+            BLDatum.from_maps([np.zeros(shape)] * 2, [0.5, 0.5])
+        with pytest.raises(ShapeMismatch, match="map 1 has shape"):
+            BLDatum.from_maps([np.ones((1, 3)), np.zeros(shape)], [0.5, 0.5])
+
     def test_random_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed"):
             gen_random(4, 2, 4, -1)

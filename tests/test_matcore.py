@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blfix.matcore
 from blfix.baseline import RgdConfig, riem_grad_norm, solve_rgd
@@ -241,6 +243,31 @@ class TestMaxGenEig:
 class TestOpNorm:
     def test_matches_eigs(self):
         assert sym_op_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_matrix_is_positive_zero(self, n):
+        assert repr(sym_op_norm(np.zeros((n, n)))) == "0.0"
+        assert repr(sym_op_norm(-0.0 * np.eye(n))) == "0.0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mags=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8),
+        signs=st.sampled_from(["positive", "negative", "mixed"]),
+        rotate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ends_of_the_spectrum_are_the_max_abs(self, mags, signs, rotate, seed):
+        # bit for bit the largest |eigenvalue|, on spectra of either sign and
+        # both, exact diagonals (signed zeros included) and rotated ones
+        sign = {"positive": [1.0], "negative": [-1.0], "mixed": [1.0, -1.0]}[signs]
+        lam = np.array([v * sign[i % len(sign)] for i, v in enumerate(mags)])
+        s = np.diag(lam)
+        if rotate:
+            q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lam),) * 2))[0]
+            s = (q * lam) @ q.T
+            s = 0.5 * s + 0.5 * s.T
+        want = float(np.max(np.abs(sym_eig(s, vectors=False))))
+        assert repr(sym_op_norm(s)) == repr(want)
 
     # dsyevd returns eigenvalues [0, -0] with info 0 for the diagonal NaN
     @pytest.mark.parametrize("a", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],

@@ -245,6 +245,39 @@ class TestWhitenedKernel:
         assert result.converged and result.iterations > 1
         assert ndims == [3] * len(trace.rows)
 
+    @pytest.mark.parametrize("run", ["rgd-summary", "rgd-full", *(f"{s}-full" for s in SOLVERS)])
+    def test_no_numpy_reduction_wrappers_per_iteration(self, monkeypatch, run):
+        # RGD's step and check, and a full trace row's gradient norm, reduce
+        # with ndarray methods, BLAS and the ends of the sorted spectrum, and
+        # share the run's one identity: none of these wrappers runs per iterate
+        solver, level = run.rsplit("-", 1)
+        calls = {name: TestOneEvaluationPerIterate.count(monkeypatch, name, module)
+                 for module, name in ((np.linalg, "norm"), (np, "sum"), (np, "max"), (np, "eye"))}
+        counts = []
+        for max_iter in (3, 30):
+            for c in calls.values():
+                c[0] = 0
+            if solver == "rgd":
+                result, _ = solve_rgd(feasible_datum(4), RgdConfig(max_iter=max_iter, trace=level))
+            else:
+                result, _ = solve_fixed_point(feasible_datum(4),
+                                              SolveConfig(solver=solver, max_iter=max_iter, trace=level))
+            assert result.status == MAX_ITER and result.iterations == max_iter
+            counts.append({name: c[0] for name, c in calls.items()})
+        assert counts[0] == counts[1]
+
+    def test_holder_gradient_norms_are_positive_zero(self):
+        # gen_holder(2, 1) is at its optimum from the identity on, and its
+        # gradient is exactly zero: every norm of it reads 0.0, never -0.0
+        datum = gen_holder(2, 1)
+        for solver in SOLVERS + ("rgd",):
+            for level in TRACE_LEVELS:
+                result, trace = _run_at(level, datum, solver)
+                assert result.status == CONVERGED and repr(result.grad_norm) == "0.0", (solver, level)
+                if solver in ("plain_g", "normalized", "rgd") and level == "full":
+                    assert {repr(v) for v in trace.column("grad_norm")} == {"0.0"}, solver
+        assert repr(solve_rgd(datum, RgdConfig())[0].residual) == "0.0"
+
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
     def test_start_point_does_not_change_the_constant(self, i):
         datum, x = self.point(i)

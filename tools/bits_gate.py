@@ -22,7 +22,9 @@ The battery, from the identity start:
   gen_random(*shape, seed=i), on Young scaled by 1e-3 and 1e3, on the
   crafted infeasible datum, and on the common-kernel datum (three copies of
   the map [1, 0], each of weight 2/3), where the step's factor fails, so the
-  error type and the iteration it names are digested;
+  error type and the iteration it names are digested, and on
+  gen_holder(2, 1), one identity map, whose gradient is exactly zero, so a
+  signed zero in grad_norm or the residual shows in the digest;
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
@@ -90,6 +92,7 @@ def battery() -> dict:
         data[f"young*{c:g}"] = blfix.BLDatum.from_maps([c * np.asarray(L) for L in young.maps], young.weights)
     data["crafted"] = blfix.BLDatum.from_maps(*CRAFTED)
     data["common-kernel"] = blfix.BLDatum.from_maps(*COMMON_KERNEL)
+    data["holder(2, 1)"] = blfix.gen_holder(2, 1)
     return data
 
 
