@@ -51,7 +51,8 @@ def riem_grad_norm(x: SpdMatrix, xi: np.ndarray) -> float:
 def rgd_step(datum: BLDatum, x: SpdMatrix, eta: float) -> SpdMatrix:
     """Exponential-map update Exp_X(-eta * riem_grad(X)) by one kernel step; stays on the cone."""
     check_nonnegative("eta", eta)
-    return SpdMatrix._from_factor(_Whitened(datum, x).evaluate().descend(eta).t)
+    w = _Whitened(datum, x).evaluate()
+    return SpdMatrix._from_factor(w.descend(eta, w.s - w.eye).t)
 
 
 def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace]:
@@ -74,13 +75,16 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
     the Euclidean one.
     """
 
+    g = None  # the checked iterate's S - I, which its step reuses
+
     def check(k, x):
+        nonlocal g
         g = x.s - x.eye
         rnorm = math.sqrt(np.vdot(g, g))  # |S - I|_F, as np.linalg.norm computes it
         return x.value, rnorm, CONVERGED if rnorm <= config.tol_grad else None
 
     def step(x):
-        return x.descend(STEP_SIZE)
+        return x.descend(STEP_SIZE, g)
 
     return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
                   config.max_iter, config.trace == "full")

@@ -135,6 +135,8 @@ def sym_eig(s, vectors: bool = True):
     must be finite, as every caller here ensures: a NaN gives wrong values with info 0.
     """
     vals, vecs, info = dsyevd(_mat(s), compute_v=int(vectors), lower=1)
+    if not len(vals):  # dsyevd accepts a 0 x 0 matrix, as no other kernel here does
+        raise ShapeMismatch("expected a non-empty square matrix, got shape (0, 0)")
     if info:
         raise ConvergenceFailure(f"symmetric eigensolver did not converge (dsyevd info {info})")
     return (vals, vecs) if vectors else vals

@@ -48,6 +48,7 @@ INFEASIBILITY_SUSPECTED = "InfeasibilitySuspected"
 SOLVERS = ("plain_g", "regularized", "normalized")
 
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
+LOG_HALF_BLOWUP = math.log(0.5 * BLOWUP_COND)  # extremes' cap on log(hi/lo)
 SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
 TRACE_LEVELS = ("summary", "full")
 PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
@@ -171,7 +172,7 @@ class _Whitened:
         self.maps = np.vstack([np.ldexp(L, -e) for L, e in zip(datum.maps, exps)])
         self.shape = (datum.m, datum.dprime, datum.d)
         self.row_w = np.repeat(datum.weights, datum.dprime)
-        self.sqrt_w = np.sqrt(self.row_w)[:, None]
+        self.sqrt_w = np.repeat(np.sqrt(self.row_w)[:, None], datum.d, 1)  # full shape: no broadcast
         self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
         self.blocks = None  # the per-map route
         if datum.dprime < PER_MAP_SOLVE_DPRIME:
@@ -185,7 +186,7 @@ class _Whitened:
 
     def evaluate(self) -> "_Whitened":
         """Set value (F) and s (S)."""
-        m = self.maps @ self.t
+        m = np.dot(self.maps, self.t)  # np.dot: one BLAS call without matmul's gufunc overhead
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
         if self.blocks is None:  # W_j^T C_j^T = M_j^T, in place: each slab of m.T is an F-ordered view
@@ -197,15 +198,15 @@ class _Whitened:
             self.diag_blocks[...] = c
             m, diag = dtrsm(1.0, self.blocks, m, lower=1), self.blocks.diagonal()
         w = self.sqrt_w * m
-        self.s = w.T @ w
-        log_det_pf = 2.0 * float(self.row_w @ np.log(diag))
+        self.s = np.dot(w.T, w)
+        log_det_pf = 2.0 * float(np.dot(self.row_w, np.log(diag)))
         self.value = log_det_pf - 2.0 * self.log_det_t + self.offset
         return self
 
     @property
     def gradient(self) -> np.ndarray:
         """T^{-T} (S - I) T^{-1}, the gradient of F, computed on each access."""
-        g = self.t_inv.T @ (self.s - self.eye) @ self.t_inv
+        g = self.t_inv.T @ (self.s - self.eye) @ self.t_inv  # @, so an overflow reads "in matmul"
         return 0.5 * (g + g.T)
 
     def spectrum(self) -> None:
@@ -219,7 +220,7 @@ class _Whitened:
         hi/lo <= BLOWUP_COND / 2 (a computed lo's roundoff grows with hi/lo);
         else it may stay nan, which fails every comparison."""
         if math.isnan(self.eig_range[0]) and (self.log_hi > math.log(hi_cap)
-                                              or self.log_hi - self.log_lo > math.log(0.5 * BLOWUP_COND)):
+                                              or self.log_hi - self.log_lo > LOG_HALF_BLOWUP):
             self.spectrum()
         return self.eig_range
 
@@ -237,8 +238,8 @@ class _Whitened:
         if info:
             raise CholeskyFailure("matrix is not positive definite")
         lam = sym_eig(s, vectors=False)
-        self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, r.T @ self.t_inv
-        self.log_det_t, shift = self.log_det_t - float(np.log(r.diagonal()).sum()), 0.0
+        self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, np.dot(r.T, self.t_inv)
+        self.log_det_t, shift = self.log_det_t - float(np.add.reduce(np.log(r.diagonal()))), 0.0
         if solver == "normalized":
             shift = math.log(np.vdot(self.t, self.t))  # the log of the trace of T T^T
             self.t, self.t_inv = self.t * math.exp(-0.5 * shift), self.t_inv * math.exp(0.5 * shift)
@@ -246,14 +247,15 @@ class _Whitened:
         self.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
         return self
 
-    def descend(self, eta: float) -> "_Whitened":
+    def descend(self, eta: float, g: np.ndarray) -> "_Whitened":
         """Move this evaluated iterate, in place, by RGD's step Exp_X(-eta xi):
         with T^{-1} xi T^{-T} = S - I = V Lam V^T, T <- T V exp(-eta Lam / 2), a
-        step of Thompson length eta max |Lam|, at an end of the ascending Lam."""
-        lam, vecs = sym_eig(self.s - self.eye)
+        step of Thompson length eta max |Lam|, at an end of the ascending Lam.
+        The caller passes g = S - I, which RGD's check has already formed."""
+        lam, vecs = sym_eig(g)
         half = np.exp(-0.5 * eta * lam)
-        self.t, self.t_inv = (self.t @ vecs) * half, (vecs / half).T @ self.t_inv
-        self.log_det_t -= 0.5 * eta * float(lam.sum())
+        self.t, self.t_inv = np.dot(self.t, vecs) * half, np.dot((vecs / half).T, self.t_inv)
+        self.log_det_t -= 0.5 * eta * float(np.add.reduce(lam))
         self.step_len = eta * float(max(abs(lam[0]), abs(lam[-1])))
         return self
 
@@ -349,19 +351,19 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
         )
     with np.errstate(over="raise", invalid="raise"):
         x = _Whitened(datum, x0)
-        t0 = time.perf_counter_ns()
+        append, clock, unknown = trace.rows.append, time.perf_counter_ns, (math.nan, math.nan)
+        t0 = clock()
         try:
             for k in range(max_iter + 1):
                 if k:
                     x = step(x)
                     pad = x.step_len + SPECTRUM_PAD
-                    x.log_lo, x.log_hi, x.eig_range = x.log_lo - pad, x.log_hi + pad, (math.nan, math.nan)
+                    x.log_lo, x.log_hi, x.eig_range = x.log_lo - pad, x.log_hi + pad, unknown
                 x.evaluate()
                 if full or not k:
                     x.spectrum()
                 f_mu, grad_norm, status = check(k, x)
-                trace.rows.append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range,
-                                           time.perf_counter_ns() - t0))
+                append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range, clock() - t0))
                 if status is not None:
                     break
             status = status or MAX_ITER

@@ -269,6 +269,13 @@ class TestOpNorm:
         want = float(np.max(np.abs(sym_eig(s, vectors=False))))
         assert repr(sym_op_norm(s)) == repr(want)
 
+    @pytest.mark.parametrize("call", [sym_op_norm, sym_eig, lambda a: sym_eig(a, vectors=False)],
+                             ids=["sym_op_norm", "sym_eig", "sym_eig-values"])
+    def test_empty_matrix_rejected(self, call):
+        # dsyevd accepts a 0 x 0 matrix with info 0; the spectral helpers refuse it as _as_square does
+        with pytest.raises(ShapeMismatch, match=r"expected a non-empty square matrix, got shape \(0, 0\)"):
+            call(np.zeros((0, 0)))
+
     # dsyevd returns eigenvalues [0, -0] with info 0 for the diagonal NaN
     @pytest.mark.parametrize("a", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],
                                    [[1.0, 0.0], [0.0, math.inf]]], ids=["nan-diagonal", "nan-off-diagonal", "inf"])

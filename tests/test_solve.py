@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
 from blfix.cone import thompson
 from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
-from blfix.errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
-                          ValidationFailed)
+from blfix.errors import (BlfixError, CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument,
+                          StepFailure, ValidationFailed)
 from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
@@ -209,7 +210,8 @@ class TestWhitenedKernel:
         vals, v = np.linalg.eigh(x.a)
         root, inv_root = (v * np.sqrt(vals)) @ v.T, (v / np.sqrt(vals)) @ v.T
         for eta in (1e-1, 1e-3):
-            moved = _Whitened(datum, x).evaluate().descend(eta)
+            moved = _Whitened(datum, x).evaluate()
+            moved.descend(eta, moved.s - moved.eye)
             got = moved.t @ moved.t.T
             want = root @ scipy.linalg.expm(-eta * inv_root @ xi @ inv_root) @ root
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -322,6 +324,32 @@ class TestContractionDiagnostic:
         lhs, bound = contraction_diagnostic(gen_young(), x, y, 0.1)
         assert lhs < math.log(2.0)
         assert lhs <= bound + 1e-8
+
+
+UNTOUCHED_CALLS = [  # each called as call(datum, x, y), x the start point
+    *[pytest.param(lambda d, x, y, s=s: solve_fixed_point(d, SolveConfig(solver=s, x0=x, max_iter=5)),
+                   id=f"solve_fixed_point-{s}") for s in SOLVERS],
+    pytest.param(lambda d, x, y: solve_rgd(d, RgdConfig(max_iter=5)), id="solve_rgd"),
+    pytest.param(lambda d, x, y: step_G(d, x), id="step_G"),
+    pytest.param(lambda d, x, y: step_G_mu(d, x, 0.3), id="step_G_mu"),
+    pytest.param(lambda d, x, y: step_G_tilde(d, x), id="step_G_tilde"),
+    pytest.param(lambda d, x, y: rgd_step(d, x, 0.5), id="rgd_step"),
+    pytest.param(lambda d, x, y: contraction_diagnostic(d, x, y, 0.3), id="contraction_diagnostic"),
+]
+
+
+@pytest.mark.parametrize("call", UNTOUCHED_CALLS)
+@pytest.mark.parametrize("shape", [FEASIBLE_SHAPES[5], *ROUTE_SHAPES], ids=str)
+def test_entry_points_leave_their_inputs_alone(call, shape):
+    # the kernel solves in place on its own arrays only: the start point's
+    # matrix and factor and the datum's maps keep every byte, on both
+    # triangular-solve routes
+    datum, rng = gen_random(*shape, seed=0), np.random.default_rng(1)
+    x, y = rand_spd(rng, datum.d), rand_spd(rng, datum.d)
+    inputs = [x.a, x.chol, y.a, y.chol, *datum.maps]
+    before = [a.tobytes() for a in inputs]
+    call(datum, x, y)
+    assert [a.tobytes() for a in inputs] == before
 
 
 class TestSolveFixedPoint:
@@ -498,6 +526,20 @@ def _run_at(level: str, datum: BLDatum, solver: str):
     return solve_fixed_point(datum, SolveConfig(solver=solver, trace=level))
 
 
+NAMED_DATA = {"young": gen_young, "holder": lambda: gen_holder(2, 1), "crafted": crafted_infeasible_datum,
+              "common-kernel": common_kernel_datum}
+# RGD descends on these two until an iterate overflows or a Gram factor
+# fails; the full level's per-row spectrum forms T T^T, which overflows at
+# another iteration than the summary run's kernel does
+LEVEL_DEPENDENT = {("crafted", "rgd"): "StepFailure at iteration 1112 (summary) against 1110 (full)",
+                   ("common-kernel", "rgd"): "CholeskyFailure at 930 (summary) against StepFailure at 888 (full)"}
+ENDINGS = [pytest.param(c, s, id=f"{c}-{s}", marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                                     reason=LEVEL_DEPENDENT[c, s])]
+                        if (c, s) in LEVEL_DEPENDENT else [])
+           for c in (*range(len(FEASIBLE_SHAPES)), *NAMED_DATA)
+           for s in SOLVERS + ("rgd",)]
+
+
 class TestTraceLevels:
     """A summary trace computes X's spectrum only where a stop or mu decision
     needs it, on the bound the Thompson steps give; both levels run the same
@@ -512,8 +554,8 @@ class TestTraceLevels:
 
     @staticmethod
     def datum(case) -> BLDatum:
-        if case == "crafted":
-            return crafted_infeasible_datum()
+        if case in NAMED_DATA:
+            return NAMED_DATA[case]()
         return feasible_datum(case) if isinstance(case, int) else _young_scaled(case)
 
     @pytest.mark.parametrize("case, solver", CASES, ids=[f"{c}-{s}" for c, s in CASES])
@@ -536,6 +578,20 @@ class TestTraceLevels:
             known = np.ones(len(ours), bool) if name in always else ~np.isnan(ours)
             assert np.array_equal(ours[known], theirs[known], equal_nan=True), name
         assert not np.isnan(trace.rows[0].min_eig)
+
+    @staticmethod
+    def ending(level: str, datum: BLDatum, solver: str) -> tuple:
+        """(status, iterations), or (error type, the iteration its message names)."""
+        try:
+            res, _ = _run_at(level, datum, solver)
+        except BlfixError as exc:
+            return type(exc).__name__, int(re.match(r"iteration (\d+): ", str(exc))[1])
+        return res.status, res.iterations
+
+    @pytest.mark.parametrize("case, solver", ENDINGS)
+    def test_level_never_changes_how_a_run_ends(self, case, solver):
+        datum = self.datum(case)
+        assert self.ending("summary", datum, solver) == self.ending("full", datum, solver)
 
     @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
