@@ -4,9 +4,9 @@ Covers construction and validation, generators for the closed-form instances
 and for random instances, JSON persistence, and the brute-force subdeterminant
 constant.
 
-Storage convention: each map is kept as the d'xd matrix L_j acting on column
-vectors, and every quadratic form downstream uses the pushforward
-T_j(X) = L_j X L_j^T of a dxd matrix X to a d'xd' matrix.
+Storage convention: the maps are one read-only (m, d', d) array of the d'xd
+matrices L_j acting on column vectors, and every quadratic form downstream
+uses the pushforward T_j(X) = L_j X L_j^T of a dxd matrix X to a d'xd' matrix.
 """
 
 from __future__ import annotations
@@ -30,19 +30,19 @@ _CHUNK_FLOATS = 1 << 20  # matrix entries per stacked LAPACK call; bounds the me
 
 @dataclass(frozen=True, eq=False)
 class BLDatum:
-    """m linear maps of shape dprime x d with weights, stored immutably."""
+    """m linear maps of shape dprime x d, copied into one read-only (m, dprime, d) array, with weights."""
 
     d: int
     dprime: int
     m: int
-    maps: tuple
+    maps: np.ndarray
     weights: np.ndarray
 
     @classmethod
     def from_maps(cls, maps, weights) -> "BLDatum":
         mats = []
         for j, raw in enumerate(maps):
-            a = np.array(raw, dtype=float)
+            a = np.asarray(raw, dtype=float)
             if a.ndim != 2:
                 raise ShapeMismatch(f"map {j} is not a matrix")
             if not np.all(np.isfinite(a)):
@@ -59,16 +59,16 @@ class BLDatum:
             raise ShapeMismatch(f"expected {len(mats)} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ShapeMismatch("weights must be finite")
-        for a in mats:
-            a.setflags(write=False)
+        stack = np.stack(mats)  # a copy: the caller's arrays stay theirs
+        stack.setflags(write=False)
         w.setflags(write=False)
-        return cls(d=d, dprime=dprime, m=len(mats), maps=tuple(mats), weights=w)
+        return cls(d=d, dprime=dprime, m=len(mats), maps=stack, weights=w)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BLDatum)
             and np.array_equal(self.weights, other.weights)
-            and np.array_equal(np.stack(self.maps), np.stack(other.maps))
+            and np.array_equal(self.maps, other.maps)
         )
 
     def __repr__(self) -> str:
@@ -108,32 +108,35 @@ def _sigma_min_bounds(minors: np.ndarray) -> np.ndarray:
     backward stable with no growth factor. A zero matrix gets 0, without a warning.
     """
     n = minors.shape[-1]
-    r = np.abs(np.linalg.qr(minors, mode="r").diagonal(axis1=1, axis2=2))
+    r = np.abs(np.linalg.qr(minors, mode="r").diagonal(axis1=-2, axis2=-1))
     if n == 1:
-        return r[:, 0]
-    fro = np.linalg.norm(minors, axis=(1, 2))[:, None]
+        return r[..., 0]
+    fro = np.linalg.norm(minors, axis=(-2, -1))[..., None]
     # |det A| (n-1)^((n-1)/2) / |A|_F^(n-1), one factor per R_ii, so nothing overflows
     rel = np.divide(r * math.sqrt(n - 1), fro, out=np.zeros_like(r), where=fro > 0)
-    return fro[:, 0] / math.sqrt(n - 1) * rel.prod(axis=1)
+    return fro[..., 0] / math.sqrt(n - 1) * rel.prod(axis=-1)
+
+
+def _minor_chunks(maps: np.ndarray):
+    """All maps' dprime x dprime column minors, in (m, n, dprime, dprime) views of <= _CHUNK_FLOATS entries."""
+    m, dprime, d = maps.shape
+    index_sets = itertools.combinations(range(d), dprime)
+    while chunk := list(itertools.islice(index_sets, max(1, _CHUNK_FLOATS // (m * dprime**2)))):
+        yield maps[:, :, np.array(chunk)].swapaxes(1, 2)
 
 
 def _uniform_maps(datum: BLDatum) -> np.ndarray:
     """uniform[j]: every dprime x dprime column minor of L_j has its bound above
-    2 * RANK_RTOL * |L_j|_F, tested in chunks of minors bounded by _CHUNK_FLOATS.
+    2 * RANK_RTOL * |L_j|_F, tested on all maps at once, chunk by chunk.
     No map is uniform when dprime > d or comb(d, dprime) > _COORD_SUBSPACE_CAP.
     """
-    uniform = np.zeros(datum.m, dtype=bool)
     if not 0 < math.comb(datum.d, datum.dprime) <= _COORD_SUBSPACE_CAP:
-        return uniform
-    per_chunk = max(1, _CHUNK_FLOATS // datum.dprime**2)
-    for j, L in enumerate(datum.maps):
-        a = L / (np.abs(L).max() or 1.0)  # entries in [-1, 1]: no norm over- or underflows
-        floor = 2 * RANK_RTOL * np.linalg.norm(a)
-        index_sets = itertools.combinations(range(datum.d), datum.dprime)
-        chunks = iter(lambda: list(itertools.islice(index_sets, per_chunk)), [])
-        uniform[j] = all(np.all(_sigma_min_bounds(a[:, np.array(c)].swapaxes(0, 1)) > floor)
-                         for c in chunks)
-    return uniform
+        return np.zeros(datum.m, dtype=bool)
+    top = np.abs(datum.maps).max(axis=(1, 2), keepdims=True)
+    a = datum.maps / np.where(top > 0, top, 1.0)  # entries in [-1, 1]: no norm over- or underflows
+    floor = 2 * RANK_RTOL * np.linalg.norm(a, axis=(1, 2))[:, None]
+    chunks_ok = [np.all(_sigma_min_bounds(minors) > floor, axis=1) for minors in _minor_chunks(a)]
+    return np.all(chunks_ok, axis=0)
 
 
 def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
@@ -161,8 +164,7 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
     relative. The certificate runs only while dprime <= d and comb(d, dprime)
     <= _COORD_SUBSPACE_CAP; other maps, and all maps beyond that, take the SVD.
     """
-    maps = np.stack(datum.maps)
-    rank_ok = (np.linalg.matrix_rank(maps, rtol=RANK_RTOL) == datum.dprime).tolist()
+    rank_ok = (np.linalg.matrix_rank(datum.maps, rtol=RANK_RTOL) == datum.dprime).tolist()
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
     with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
         residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
@@ -172,7 +174,7 @@ def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationRepor
         return ValidationReport(rank_ok, scaling_ok, residual, weight_range_ok, None)
 
     uniform = _uniform_maps(datum)
-    ranked = maps[~uniform]
+    ranked = datum.maps[~uniform]
     violations = []
     rng = np.random.default_rng(0)
     for k in range(1, datum.d):
@@ -239,12 +241,10 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
         raise InvalidShape(f"uniform weight d/(m*dprime) = {w:g} is outside (0, 1)")
     rng = np.random.default_rng(seed)
     maps = []
-    for _ in range(m):
-        while True:
-            L = rng.standard_normal((dprime, d))
-            if np.linalg.matrix_rank(L, rtol=RANK_RTOL) == dprime:
-                break
-        maps.append(L)
+    while len(maps) < m:
+        L = rng.standard_normal((dprime, d))
+        if np.linalg.matrix_rank(L, rtol=RANK_RTOL) == dprime:
+            maps.append(L)
     return BLDatum.from_maps(maps, np.full(m, w))
 
 
@@ -254,21 +254,16 @@ def gen_random(d: int, dprime: int, m: int, seed: int) -> BLDatum:
 def critical_c(datum: BLDatum, limit: int = 10**6) -> float:
     """min over maps of the largest |det| over all dprime x dprime column minors.
 
-    Pure brute force over column index sets, one batched det per chunk of them;
-    guarded by comb(d, dprime) <= limit.
+    Pure brute force over column index sets, one batched det of all maps'
+    minors per chunk of them; guarded by comb(d, dprime) <= limit.
     """
     n_sets = math.comb(datum.d, datum.dprime)
     if n_sets > limit:
         raise TooLarge(f"comb({datum.d},{datum.dprime}) = {n_sets} exceeds limit {limit}")
-    per_chunk = max(1, _CHUNK_FLOATS // datum.dprime**2)
-    best_per_map = []
-    for L in datum.maps:
-        best, index_sets = 0.0, itertools.combinations(range(datum.d), datum.dprime)
-        while chunk := list(itertools.islice(index_sets, per_chunk)):
-            dets = np.abs(np.linalg.det(L[:, np.array(chunk)].swapaxes(0, 1)))
-            best = max(best, float(np.fmax.reduce(dets)))  # a NaN minor is skipped, as by max()
-        best_per_map.append(best)
-    return min(best_per_map)
+    best = np.zeros(datum.m)
+    for minors in _minor_chunks(datum.maps):  # a NaN minor is skipped, as by max()
+        best = np.fmax(best, np.fmax.reduce(np.abs(np.linalg.det(minors)), axis=1))
+    return float(best.min())
 
 
 # --- JSON persistence -----------------------------------------------------------
@@ -281,8 +276,8 @@ def datum_to_json_obj(datum: BLDatum) -> dict:
         "d": datum.d,
         "dprime": datum.dprime,
         "m": datum.m,
-        "weights": [float(w) for w in datum.weights],
-        "maps": [[[float(v) for v in row] for row in L] for L in datum.maps],
+        "weights": datum.weights.tolist(),
+        "maps": datum.maps.tolist(),
     }
 
 

@@ -28,10 +28,15 @@ from .errors import (
 SYMMETRY_TOL = 1e-8  # matrix JSON reader, relative to the largest entry
 
 
-def _as_square(entries) -> np.ndarray:
-    a = np.array(entries, dtype=float)
+def _mat(x) -> np.ndarray:
+    a = x.a if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ShapeMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
+    return a
+
+
+def _as_square(entries) -> np.ndarray:
+    a = _mat(entries)
     if not np.all(np.isfinite(a)):
         raise InvalidArgument("matrix entries must be finite")
     return a
@@ -97,10 +102,6 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
-def _mat(x) -> np.ndarray:
-    return x.a if isinstance(x, SpdMatrix) else np.asarray(x, dtype=float)
-
-
 def log_det(x: SpdMatrix) -> float:
     """log of the determinant, accumulated from the Cholesky diagonal."""
     return 2.0 * float(np.sum(np.log(np.diag(x.chol))))
@@ -133,10 +134,9 @@ def sym_eig(s, vectors: bool = True):
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns), so that
     s = V @ diag(vals) @ V.T; with vectors=False, the eigenvalues alone. Entries
     must be finite, as every caller here ensures: a NaN gives wrong values with info 0.
+    Any shape but a non-empty square, 0 x 0 too (dsyevd takes it), raises ShapeMismatch.
     """
     vals, vecs, info = dsyevd(_mat(s), compute_v=int(vectors), lower=1)
-    if not len(vals):  # dsyevd accepts a 0 x 0 matrix, as no other kernel here does
-        raise ShapeMismatch("expected a non-empty square matrix, got shape (0, 0)")
     if info:
         raise ConvergenceFailure(f"symmetric eigensolver did not converge (dsyevd info {info})")
     return (vals, vecs) if vectors else vals

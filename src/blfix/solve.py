@@ -168,8 +168,8 @@ class _Whitened:
     def __init__(self, datum: BLDatum, x: SpdMatrix):
         if x.n != datum.d:
             raise DimensionMismatch(f"start point is {x.n}x{x.n}, datum has d={datum.d}")
-        exps = [math.frexp(float(np.max(np.abs(L))))[1] for L in datum.maps]
-        self.maps = np.vstack([np.ldexp(L, -e) for L, e in zip(datum.maps, exps)])
+        exps = np.frexp(np.abs(datum.maps).max(axis=(1, 2)))[1]
+        self.maps = np.ldexp(datum.maps, -exps[:, None, None]).reshape(-1, datum.d)
         self.shape = (datum.m, datum.dprime, datum.d)
         self.row_w = np.repeat(datum.weights, datum.dprime)
         self.sqrt_w = np.repeat(np.sqrt(self.row_w)[:, None], datum.d, 1)  # full shape: no broadcast
@@ -210,9 +210,14 @@ class _Whitened:
         return 0.5 * (g + g.T)
 
     def spectrum(self) -> None:
-        """Compute `eig_range` and rebase the bounds on it."""
-        eigs = sym_eig(self.t @ self.t.T, vectors=False)
-        self.eig_range = lo, hi = float(eigs[0]), float(eigs[-1])
+        """Compute `eig_range` and rebase the bounds on it; an eigenvalue beyond the doubles reads inf."""
+        try:
+            tt, f = self.t @ self.t.T, 1.0
+        except FloatingPointError:  # T T^T overflows: U = T / f is exact for f = 2^k; f^2 as Python floats
+            f = 2.0 ** (math.frexp(float(np.abs(self.t).max()))[1] - 1)  # U's top entry is in [1, 2)
+            tt = (self.t / f) @ (self.t / f).T
+        eigs = sym_eig(tt, vectors=False)
+        self.eig_range = lo, hi = float(eigs[0]) * f * f, float(eigs[-1]) * f * f
         self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
 
     def extremes(self, hi_cap: float) -> tuple[float, float]:

@@ -584,10 +584,14 @@ class TestUsage:
         assert err == f"blfix: error: {flag} does not apply to --solver {solver}\n"
 
     def test_console_script_runs(self, young_path):
+        # the child imports the blfix this suite imported, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(blfix.cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "blfix.cli", "solve", young_path, "--solver", "g"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["status"] == "Converged"

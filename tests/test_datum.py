@@ -324,6 +324,17 @@ class TestGenerators:
         with pytest.raises(ShapeMismatch, match="map 1 has shape"):
             BLDatum.from_maps([np.ones((1, 3)), np.zeros(shape)], [0.5, 0.5])
 
+    def test_maps_are_one_read_only_copy(self):
+        raw = np.arange(18.0).reshape(3, 2, 3)
+        datum = BLDatum.from_maps(raw, [0.5] * 3)
+        assert isinstance(datum.maps, np.ndarray) and datum.maps.shape == (3, 2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            datum.maps[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            datum.maps[1][0, 0] = 1.0
+        raw[0, 0, 0] = 99.0
+        assert np.array_equal(datum.maps, np.arange(18.0).reshape(3, 2, 3))
+
     def test_random_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed"):
             gen_random(4, 2, 4, -1)
