@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen (write a datum), check (validation report plus the
+Subcommands: gen (write a datum), check (validation report, witness search and
 subdeterminant constant), solve (run one solver, print a JSON run summary),
 metric (Thompson/Hilbert distance of two matrices), bench (run several solvers
 on one datum and write aligned trace CSVs).
@@ -44,6 +44,7 @@ from .solve import (
     IterTrace,
     SolveConfig,
     SolveResult,
+    find_witness,
     solve_fixed_point,
 )
 
@@ -126,6 +127,12 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     datum = load_datum(args.datum)
     report = validate(datum)
+    if report.accepted:  # a rejected datum leaves both subspace fields None
+        witness = find_witness(datum)
+        report.subspace_heuristic_ok = witness is None
+        report.sampled_violations = [] if witness is None else [
+            {"dim": witness.basis.shape[1], "weighted_image_dims": witness.weighted_dims,
+             "basis": witness.basis.T.tolist()}]
     try:
         c = critical_c(datum)
     except TooLarge:
@@ -175,7 +182,7 @@ def cmd_bench(args) -> int:
         datum_echo = {"generated": {"d": args.d, "dprime": args.dprime, "m": args.m, "seed": args.seed}}
     names = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not names:
-        raise BlfixError("--solvers names no solver; choose from g,gmu,gtilde,rgd")
+        raise BlfixError(f"--solvers names no solver; choose from {','.join(_SOLVER_NAMES)}")
     for i, name in enumerate(names):
         if name not in _SOLVER_NAMES:
             raise BlfixError(f"unknown solver {name!r}; choose from {sorted(_SOLVER_NAMES)}")
@@ -262,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--dprime", type=int, default=None)
     pb.add_argument("--m", type=int, default=None)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--solvers", default="gmu,rgd", help="comma list from g,gmu,gtilde,rgd")
+    pb.add_argument("--solvers", default="gmu,rgd", help=f"comma list from {','.join(_SOLVER_NAMES)}")
     pb.add_argument("--tol", type=float, default=1e-8,
                     help="iterations-to-tol threshold and stopping tolerance (default 1e-8)")
     pb.add_argument("--max-iter", type=int, default=20000)

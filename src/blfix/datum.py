@@ -14,17 +14,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._util import atomic_write_text, read_json
 from .errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
 
-RANK_RTOL = 1e-10  # matrix_rank's rtol: singular values up to RANK_RTOL * sigma_max count as zero
+RANK_RTOL = 1e-10  # of L_j and of its images L_j H, singular values up to RANK_RTOL * |L_j|_2 count as zero
 SCALING_TOL = 1e-10
-_SUBSPACE_SLACK = 1e-9
-_COORD_SUBSPACE_CAP = 20000  # per dimension; sampled beyond this
 _CHUNK_FLOATS = 1 << 20  # matrix entries per stacked LAPACK call; bounds the memory
 
 
@@ -79,19 +77,18 @@ class BLDatum:
 class ValidationReport:
     """Outcome of validate(); a datum is solvable iff the hard checks pass.
 
-    The subspace check is a heuristic over coordinate subspaces: it can exhibit
-    violations but never proves feasibility. `subspace_heuristic_ok is None`
-    means the heuristic was skipped. The report does not depend on which maps
-    the minor certificate in validate() covers: it only skips SVDs whose
-    ranks it proves.
+    validate() leaves the subspace fields None. On a datum that passes the hard
+    checks, `blfix check` fills them from blfix.solve.find_witness:
+    `subspace_heuristic_ok` means "no witness found", never a proof of
+    feasibility, and `sampled_violations` lists the witness, if any.
     """
 
     rank_ok: list
     scaling_ok: bool
     scaling_residual: float
     weight_range_ok: bool
-    subspace_heuristic_ok: bool | None
-    sampled_violations: list = field(default_factory=list)
+    subspace_heuristic_ok: bool | None = None
+    sampled_violations: list | None = None
 
     @property
     def accepted(self) -> bool:
@@ -99,22 +96,6 @@ class ValidationReport:
 
     def to_json_obj(self) -> dict:
         return {**asdict(self), "accepted": self.accepted}
-
-
-def _sigma_min_bounds(minors: np.ndarray) -> np.ndarray:
-    """Guggenheimer-Edelman-Johnson lower bounds on sigma_min of each n x n
-    matrix A in a stack, sigma_min(A) >= |det A| ((n-1) / |A|_F^2)^((n-1)/2),
-    with |det A| the product of |R_ii| from a batched Householder QR, which is
-    backward stable with no growth factor. A zero matrix gets 0, without a warning.
-    """
-    n = minors.shape[-1]
-    r = np.abs(np.linalg.qr(minors, mode="r").diagonal(axis1=-2, axis2=-1))
-    if n == 1:
-        return r[..., 0]
-    fro = np.linalg.norm(minors, axis=(-2, -1))[..., None]
-    # |det A| (n-1)^((n-1)/2) / |A|_F^(n-1), one factor per R_ii, so nothing overflows
-    rel = np.divide(r * math.sqrt(n - 1), fro, out=np.zeros_like(r), where=fro > 0)
-    return fro[..., 0] / math.sqrt(n - 1) * rel.prod(axis=-1)
 
 
 def _minor_chunks(maps: np.ndarray):
@@ -125,87 +106,16 @@ def _minor_chunks(maps: np.ndarray):
         yield maps[:, :, np.array(chunk)].swapaxes(1, 2)
 
 
-def _uniform_maps(datum: BLDatum) -> np.ndarray:
-    """uniform[j]: every dprime x dprime column minor of L_j has its bound above
-    2 * RANK_RTOL * |L_j|_F, tested on all maps at once, chunk by chunk.
-    No map is uniform when dprime > d or comb(d, dprime) > _COORD_SUBSPACE_CAP.
-    """
-    if not 0 < math.comb(datum.d, datum.dprime) <= _COORD_SUBSPACE_CAP:
-        return np.zeros(datum.m, dtype=bool)
-    top = np.abs(datum.maps).max(axis=(1, 2), keepdims=True)
-    a = datum.maps / np.where(top > 0, top, 1.0)  # entries in [-1, 1]: no norm over- or underflows
-    floor = 2 * RANK_RTOL * np.linalg.norm(a, axis=(1, 2))[:, None]
-    chunks_ok = [np.all(_sigma_min_bounds(minors) > floor, axis=1) for minors in _minor_chunks(a)]
-    return np.all(chunks_ok, axis=0)
-
-
-def validate(datum: BLDatum, *, subspace_checks: bool = True) -> ValidationReport:
-    """Validate a datum for solving.
-
-    Hard checks (gate solving): every map has full row rank, weights lie in
-    (0, 1], and the dimensions satisfy sum_j w_j * dprime = d within 1e-10.
-    The heuristic part tests the dimension condition on the coordinate
-    subspaces of each dimension 1..d-1: all of them while there are at most
-    _COORD_SUBSPACE_CAP, otherwise that many distinct ones drawn with the
-    fixed seed 0, so every run tests the same ones. Generic subspaces are not
-    tried: once the hard checks pass, a generic k-dimensional H has
-    dim L_j H = min(k, dprime), and sum_j w_j min(k, dprime) >= k. It reports
-    only "no violation found", never a proof.
-
-    The images L_j H are ranked by one batched SVD per chunk of subspaces,
-    except on a uniform map (_uniform_maps), whose every coordinate image has
-    rank min(k, dprime). Proof: let every dprime x dprime column minor of L_j
-    have sigma_min > 2 RANK_RTOL |L_j|_F. A column set J with |J| <= dprime
-    lies in such a minor, so by interlacing all of L_j[:, J]'s |J| singular
-    values exceed it; one with |J| > dprime contains such a minor, so
-    sigma_dprime(L_j[:, J]) exceeds it too. Since |L_j|_F >= sigma_1(L_j[:, J]),
-    matrix_rank(L_j[:, J], rtol=RANK_RTOL) is min(|J|, dprime); the factor 2
-    covers the rounding of the computed bound and singular values, about 1e-15
-    relative. The certificate runs only while dprime <= d and comb(d, dprime)
-    <= _COORD_SUBSPACE_CAP; other maps, and all maps beyond that, take the SVD.
+def validate(datum: BLDatum) -> ValidationReport:
+    """The hard checks, which gate solving: every map has full row rank (one
+    stacked np.linalg.matrix_rank at rtol=RANK_RTOL), weights lie in (0, 1],
+    and the dimensions satisfy sum_j w_j * dprime = d within SCALING_TOL.
     """
     rank_ok = (np.linalg.matrix_rank(datum.maps, rtol=RANK_RTOL) == datum.dprime).tolist()
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
     with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
         residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
-    scaling_ok = residual <= SCALING_TOL
-
-    if not subspace_checks:
-        return ValidationReport(rank_ok, scaling_ok, residual, weight_range_ok, None)
-
-    uniform = _uniform_maps(datum)
-    ranked = datum.maps[~uniform]
-    violations = []
-    rng = np.random.default_rng(0)
-    for k in range(1, datum.d):
-        if math.comb(datum.d, k) <= _COORD_SUBSPACE_CAP:
-            index_sets = itertools.combinations(range(datum.d), k)
-        else:  # seed-0 draws; a set drawn before for this k is skipped
-            seen = set()
-            draws = (tuple(sorted(rng.choice(datum.d, size=k, replace=False).tolist()))
-                     for _ in itertools.count())
-            fresh = (idx for idx in draws if idx not in seen and not seen.add(idx))
-            index_sets = itertools.islice(fresh, _COORD_SUBSPACE_CAP)
-        per_chunk = max(1, _CHUNK_FLOATS // (datum.m * datum.dprime * k))
-        while chunk := list(itertools.islice(index_sets, per_chunk)):
-            # ranks[j, i] = dim L_j H_i, for H_i spanned by the coordinates chunk[i];
-            # the SVDs run only on the maps that are not uniform
-            ranks = np.full((datum.m, len(chunk)), min(k, datum.dprime))
-            if len(ranked):
-                ranks[~uniform] = np.linalg.matrix_rank(ranked[:, :, np.array(chunk)].swapaxes(1, 2),
-                                                        rtol=RANK_RTOL)
-            rhs = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
-                for w, r in zip(datum.weights.tolist(), ranks):
-                    rhs = rhs + w * r
-            for i in np.flatnonzero(k > rhs + _SUBSPACE_SLACK).tolist():
-                violations.append(
-                    f"coordinate subspace {chunk[i]}: dim {k} > weighted image dims {rhs[i]:.6g}"
-                )
-
-    return ValidationReport(
-        rank_ok, scaling_ok, residual, weight_range_ok, not violations, violations
-    )
+    return ValidationReport(rank_ok, residual <= SCALING_TOL, residual, weight_range_ok)
 
 
 # --- generators ---------------------------------------------------------------

@@ -53,8 +53,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """Symmetric positive definite matrix, validated by Cholesky on construction.
 
-    Input is symmetrized as A/2 + A^T/2 first, which removes the roundoff drift
-    the iteration maps would otherwise accumulate. The Cholesky factor is cached
+    Input is symmetrized as A/2 + A^T/2 first. The Cholesky factor is cached
     and reused by every solve against this matrix. Instances are immutable and
     safe to share between threads.
     """
@@ -145,9 +144,7 @@ def sym_eig(s, vectors: bool = True):
 def sym_op_norm(s) -> float:
     """Operator (spectral) norm of a symmetric matrix with finite entries: the larger
     |eigenvalue| at the two ends of sym_eig's ascending spectrum, +0.0 for a zero matrix."""
-    if not np.isfinite(_mat(s)).all():
-        raise InvalidArgument("matrix entries must be finite")
-    v = sym_eig(s, vectors=False)
+    v = sym_eig(_as_square(s), vectors=False)
     return float(max(abs(v[0]), abs(v[-1])))
 
 

@@ -1,4 +1,5 @@
-"""Picard iterations for the fixed-point maps, and the one solver loop.
+"""Picard iterations for the fixed-point maps, the one solver loop, and the
+search for a witness of infeasibility that `blfix check` runs (find_witness).
 
 Three maps share one driver:
 
@@ -35,7 +36,7 @@ from scipy.linalg.lapack import dpotrf
 
 from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
-from .datum import BLDatum, validate
+from .datum import RANK_RTOL, BLDatum, validate
 from .errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
                      ValidationFailed)
 from .matcore import SpdMatrix, cholesky, log_det, sym_eig, sym_op_norm
@@ -52,6 +53,9 @@ LOG_HALF_BLOWUP = math.log(0.5 * BLOWUP_COND)  # extremes' cap on log(hi/lo)
 SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
 TRACE_LEVELS = ("summary", "full")
 PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
+WITNESS_STEPS = 16  # normalized steps from the identity that find_witness runs
+WITNESS_TESTS = (4, 16)  # the steps after which it tests X's eigenspaces
+WITNESS_SLACK = 1e-9  # a witness's dim H exceeds its weighted image dims by more than this
 
 
 def _check_settings(tol_name: str, tol: float, max_iter: int, trace: str) -> None:
@@ -210,14 +214,17 @@ class _Whitened:
         return 0.5 * (g + g.T)
 
     def spectrum(self) -> None:
-        """Compute `eig_range` and rebase the bounds on it; an eigenvalue beyond the doubles reads inf."""
+        """Compute `eig_range` and rebase the bounds on it. Where T T^T overflows, hi
+        reads inf and lo is 1 / max eig(T^-T T^-1), or 0.0 where that overflows too."""
         try:
-            tt, f = self.t @ self.t.T, 1.0
-        except FloatingPointError:  # T T^T overflows: U = T / f is exact for f = 2^k; f^2 as Python floats
-            f = 2.0 ** (math.frexp(float(np.abs(self.t).max()))[1] - 1)  # U's top entry is in [1, 2)
-            tt = (self.t / f) @ (self.t / f).T
-        eigs = sym_eig(tt, vectors=False)
-        self.eig_range = lo, hi = float(eigs[0]) * f * f, float(eigs[-1]) * f * f
+            eigs = sym_eig(self.t @ self.t.T, vectors=False)
+            lo, hi = float(eigs[0]), float(eigs[-1])
+        except FloatingPointError:
+            try:
+                lo, hi = 1.0 / float(sym_eig(self.t_inv.T @ self.t_inv, vectors=False)[-1]), math.inf
+            except FloatingPointError:
+                lo, hi = 0.0, math.inf
+        self.eig_range = lo, hi
         self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
 
     def extremes(self, hi_cap: float) -> tuple[float, float]:
@@ -322,6 +329,55 @@ def contraction_diagnostic(
     return lhs, bound
 
 
+class Witness(NamedTuple):
+    """A subspace H with dim H > sum_j w_j rank(L_j H) + WITNESS_SLACK, which
+    proves the datum infeasible (Bennett, Carbery, Christ and Tao, GAFA 2008).
+    Each rank counts the singular values of L_j H above RANK_RTOL * |L_j|_2."""
+
+    basis: np.ndarray  # d x dim H, orthonormal columns
+    weighted_dims: float  # sum_j w_j rank(L_j H)
+
+
+def _widest_violation(unit: np.ndarray, weights: np.ndarray, basis: np.ndarray) -> Witness | None:
+    """The span H_r of basis[:, :r], r = 1..d, whose dimension exceeds its weighted
+    image dims by the most, if by more than WITNESS_SLACK. `unit` holds the maps
+    over their operator norms; one batched SVD ranks all m d images L_j H_r."""
+    d = len(basis)
+    images = np.dot(unit, basis)[:, None] * np.tri(d, dtype=bool)[:, None]  # [j, r - 1] is L_j H_r, zero-padded
+    ranks = np.count_nonzero(np.linalg.svd(images, compute_uv=False) > RANK_RTOL, axis=-1)
+    weighted = weights @ ranks
+    r = int(np.argmax(np.arange(1, d + 1) - weighted)) + 1
+    return Witness(basis[:, :r], float(weighted[r - 1])) if r - weighted[r - 1] > WITNESS_SLACK else None
+
+
+def find_witness(datum: BLDatum) -> Witness | None:
+    """Search a datum that passes the hard checks for a Witness; None proves nothing.
+
+    On infeasible data the iterates of G blow up along a witness. So this runs
+    the kernel's normalized map from the identity for WITNESS_STEPS steps and
+    tests the nested top-r eigenspaces of X after the steps in WITNESS_TESTS,
+    or where a Gram factor fails. Where S's factor fails, it tests the null
+    space of S instead, carried back by T: the nested spans of T times S's
+    eigenvectors, from the smallest eigenvalue up.
+    """
+    unit = datum.maps / np.linalg.svd(datum.maps, compute_uv=False)[:, :1, None]  # each L_j / |L_j|_2
+    x = _Whitened(datum, SpdMatrix.identity(datum.d))
+    with np.errstate(over="ignore", invalid="ignore"):  # only T^-1, which no candidate reads, can overflow
+        for k in range(1, WITNESS_STEPS + 1):
+            try:
+                x.evaluate()
+            except CholeskyFailure:  # some L_j X L_j^T is singular to working precision
+                return _widest_violation(unit, datum.weights, sym_eig(x.t @ x.t.T)[1][:, ::-1])
+            try:
+                x.advance("normalized")
+            except CholeskyFailure:
+                return _widest_violation(unit, datum.weights, np.linalg.qr(x.t @ sym_eig(x.s)[1])[0])
+            if k in WITNESS_TESTS and (found := _widest_violation(unit, datum.weights,
+                                                                  sym_eig(x.t @ x.t.T)[1][:, ::-1])):
+                return found
+    return None
+
+
 def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
            max_iter: int, full: bool) -> tuple[SolveResult, IterTrace]:
     """The solver loop: gate the datum, then evaluate each iterate from x0
@@ -347,7 +403,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     a check's `extremes` caps are not ruled out by the bounds. Checks decide
     on computed eigenvalues only, so both trace levels run the same iterates.
     """
-    report = validate(datum, subspace_checks=False)
+    report = validate(datum)
     if not report.accepted:
         raise ValidationFailed(
             "datum rejected: "

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg.lapack
 
-from blfix.datum import BLDatum, gen_random
+from blfix.datum import BLDatum, gen_random, gen_young
 from blfix.matcore import SpdMatrix
 
 # (d, dprime, m) triples for which generic maps with uniform weights sit
@@ -66,3 +67,36 @@ def dsyevd_failing_on(call: int):
         return vals, vecs, 1 if next(calls) == call else info
 
     return dsyevd
+
+
+def orthogonal(rng, n: int) -> np.ndarray:
+    """A random orthogonal n x n matrix, from the QR factors of a Gaussian one."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(datum: BLDatum, seed: int) -> BLDatum:
+    """The datum (U_j L_j A) for orthogonal U_j and A drawn with the seed. It has
+    the same constant, and it is feasible exactly when the datum is."""
+    rng = np.random.default_rng(seed)
+    a = orthogonal(rng, datum.d)
+    return BLDatum.from_maps([orthogonal(rng, datum.dprime) @ L @ a for L in datum.maps], datum.weights)
+
+
+def young_family(weights, copies: int = 1, seed: int = 0) -> BLDatum:
+    """Young's maps x, y and x - y at weights (a, b, c), a + b + c = 2, as the
+    direct sum of `copies` of them, in coordinates drawn with the seed."""
+    maps = [np.kron(np.eye(copies), L) for L in gen_young().maps]
+    return rotated(BLDatum.from_maps(maps, weights), seed)
+
+
+def young_family_constant(weights) -> float:
+    """The sharp Young constant A(1/a) A(1/b) A(1/c), where A(p)^2 = p^(1/p) / p'^(1/p'),
+    p' = p / (p - 1), and A(1) = 1 (Beckner 1975)."""
+    def a(p):
+        if p == 1.0:
+            return 1.0
+        q = p / (p - 1.0)
+        return math.sqrt(p ** (1.0 / p) / q ** (1.0 / q))
+
+    return math.prod(a(1.0 / w) for w in weights)

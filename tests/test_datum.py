@@ -1,9 +1,7 @@
 import importlib.util
-import itertools
 import json
 import math
 import os
-import re
 
 import numpy as np
 import pytest
@@ -24,7 +22,9 @@ from blfix.datum import (
     save_datum,
     validate,
 )
+from blfix.cli import main
 from blfix.errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
+from blfix.solve import find_witness
 
 from conftest import FEASIBLE_SHAPES
 
@@ -49,36 +49,6 @@ def subdet_min_max_oracle(datum: BLDatum) -> float:
             best = max(best, abs(float(np.linalg.det(L[:, idx]))))
         best_min = min(best_min, best)
     return best_min
-
-
-def validate_oracle(datum: BLDatum) -> dict:
-    """validate() one rank at a time: each coordinate frame eye[:, idx] is
-    multiplied into each map separately, and the weighted image dimensions are
-    summed as Python floats, in the order of the maps."""
-    rtol = blfix.datum.RANK_RTOL
-    rank_ok = [int(np.linalg.matrix_rank(L, rtol=rtol)) == datum.dprime for L in datum.maps]
-    violations = []
-    rng = np.random.default_rng(0)
-    eye = np.eye(datum.d)
-    for k in range(1, datum.d):
-        if math.comb(datum.d, k) <= blfix.datum._COORD_SUBSPACE_CAP:
-            index_sets = itertools.combinations(range(datum.d), k)
-        else:  # the seed-0 draws in order, each set kept the first time it is drawn
-            index_sets = {}  # ordered by first insertion
-            while len(index_sets) < blfix.datum._COORD_SUBSPACE_CAP:
-                idx = tuple(sorted(int(i) for i in rng.choice(datum.d, size=k, replace=False)))
-                index_sets.setdefault(idx)
-        for idx in index_sets:
-            rhs = 0.0
-            for L, w in zip(datum.maps, datum.weights.tolist()):
-                rhs += w * int(np.linalg.matrix_rank(L @ eye[:, list(idx)], rtol=rtol))
-            if k > rhs + 1e-9:
-                violations.append(f"coordinate subspace {idx}: dim {k} > weighted image dims {rhs:.6g}")
-    report = validate(datum, subspace_checks=False).to_json_obj()
-    accepted = all(rank_ok) and report["scaling_ok"] and report["weight_range_ok"]
-    report.update(rank_ok=rank_ok, subspace_heuristic_ok=not violations,
-                  sampled_violations=violations, accepted=accepted)
-    return report
 
 
 def equivalence_data() -> list:
@@ -122,8 +92,7 @@ def near_parallel_datum(delta: float) -> BLDatum:
 class TestValidate:
     def test_holder_passes(self):
         rep = validate(gen_holder(2, 3))
-        assert rep.accepted and rep.subspace_heuristic_ok
-        assert rep.scaling_residual == 0.0
+        assert rep.accepted and rep.scaling_residual == 0.0
 
     def test_holder_bad_scaling(self):
         d = BLDatum.from_maps([np.eye(2)] * 3, [0.5, 0.5, 0.5])
@@ -146,122 +115,66 @@ class TestValidate:
         assert validate(gen_holder(3, 1)).accepted
 
     def test_subspace_heuristic_flags_infeasible(self):
-        # the second coordinate axis is crushed by all but the light map
-        maps = [[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]
-        d = BLDatum.from_maps(maps, [0.9, 0.9, 0.2])
-        rep = validate(d)
-        assert rep.accepted  # hard checks still pass
-        assert rep.subspace_heuristic_ok is False
-        assert any("coordinate" in v for v in rep.sampled_violations)
-
-    def test_violations_are_coordinate_subspaces(self):
-        # a generic subspace satisfies the dimension condition whenever the hard
-        # checks pass, so only coordinate subspaces are tested, also here where
-        # the scaling check fails
-        rep = validate(BLDatum.from_maps([[[1.0, 0.0]]], [0.5]))
-        assert not rep.accepted and rep.subspace_heuristic_ok is False
-        assert rep.sampled_violations == [
-            "coordinate subspace (0,): dim 1 > weighted image dims 0.5",
-            "coordinate subspace (1,): dim 1 > weighted image dims 0",
-        ]
+        # the second coordinate axis is crushed by all but the light map; the
+        # hard checks pass, and the witness search finds the axis
+        d = BLDatum.from_maps(*bits_gate.CRAFTED)
+        assert validate(d).accepted
+        witness = find_witness(d)
+        assert witness.weighted_dims == 0.2 and abs(witness.basis[:, 0]).tolist() == [0.0, 1.0]
 
     def test_heuristic_skippable(self):
-        rep = validate(gen_young(), subspace_checks=False)
-        assert rep.subspace_heuristic_ok is None
+        # validate runs the hard checks only; `blfix check` runs the witness search
+        rep = validate(gen_young())
+        assert rep.subspace_heuristic_ok is None and rep.sampled_violations is None
         assert rep.accepted
 
     def test_pool_shapes_feasible(self):
         for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES):
-            rep = validate(gen_random(d, dp, m, seed=100 + i))
-            assert rep.accepted and rep.subspace_heuristic_ok, (d, dp, m)
+            datum = gen_random(d, dp, m, seed=100 + i)
+            assert validate(datum).accepted and find_witness(datum) is None, (d, dp, m)
 
-    @pytest.mark.filterwarnings("error")  # no overflow or invalid-value warning either
+    @pytest.mark.filterwarnings("error")  # validate warns on no overflow or invalid value either
     @pytest.mark.parametrize("chunk", [None, 1, 7, 300])
     def test_batched_matches_loop_oracle(self, monkeypatch, chunk):
-        # chunks of 1, 7 and 300 floats cut the stacks at other subspaces than the default
+        # validate's one stacked rank call against one call per map, and critical_c's
+        # chunks of 1, 7 and 300 floats, cut at other minors than the default, against
+        # the bitmask enumeration
         if chunk is not None:
             monkeypatch.setattr(blfix.datum, "_CHUNK_FLOATS", chunk)
         for i, datum in enumerate(equivalence_data()):
-            assert validate(datum).to_json_obj() == validate_oracle(datum), i
+            rank_ok = [int(np.linalg.matrix_rank(L, rtol=blfix.datum.RANK_RTOL)) == datum.dprime
+                       for L in datum.maps]
+            assert validate(datum).rank_ok == rank_ok, i
+            with np.errstate(over="ignore", under="ignore"):  # the minors of maps scaled by 1e150 overflow
+                assert critical_c(datum) == subdet_min_max_oracle(datum), i
 
-    @pytest.mark.parametrize("datum, uniform, calls", [
-        (gen_random(10, 5, 8, 0), [True] * 8, 1),  # the hard check only
-        (block_datum(6, 3, 4, 0), [False] * 4, 1 + 5),  # and one SVD stack per k
-    ], ids=["cli-datum", "block-6-3-4"])
-    def test_uniform_maps_skip_the_svd(self, monkeypatch, datum, uniform, calls):
-        seen = []
-        rank = np.linalg.matrix_rank
-        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, **kw: seen.append(a.shape) or rank(a, **kw))
-        assert blfix.datum._uniform_maps(datum).tolist() == uniform
-        report = validate(datum)
-        assert len(seen) == calls and seen[0] == (datum.m, datum.dprime, datum.d)
-        monkeypatch.setattr(np.linalg, "matrix_rank", rank)
-        assert report.to_json_obj() == validate_oracle(datum)
-
-    def test_uniform_map_has_full_rank_on_every_coordinate_subspace(self):
-        # the certificate's claim itself, map by map, also where no violation depends on it
-        certified = 0
-        for i, datum in enumerate(equivalence_data()):
-            for L, uniform in zip(datum.maps, blfix.datum._uniform_maps(datum)):
-                certified += bool(uniform)
-                for k in range(1, datum.d) if uniform else ():
-                    sets = np.array(list(itertools.combinations(range(datum.d), k)))
-                    ranks = np.linalg.matrix_rank(L[:, sets].swapaxes(0, 1), rtol=blfix.datum.RANK_RTOL)
-                    assert np.all(ranks == min(k, datum.dprime)), (i, k)
-        assert certified > 100
-
-    def test_uniform_needs_every_minor(self):
-        # one near-dependent column pair, or a zero column, leaves the map to the SVD
-        assert blfix.datum._uniform_maps(near_parallel_datum(1e-12)).tolist() == [False, True, True, True]
-        datum = gen_random(6, 3, 4, 5)
-        zero = BLDatum.from_maps([datum.maps[0] * [1, 1, 1, 0, 1, 1], *datum.maps[1:]], datum.weights)
-        assert blfix.datum._uniform_maps(zero).tolist() == [False, True, True, True]
-        assert blfix.datum._uniform_maps(gen_young()).tolist() == [False, False, True]
-
-    def test_no_certificate_beyond_the_cap(self, monkeypatch):
-        monkeypatch.setattr(blfix.datum, "_COORD_SUBSPACE_CAP", math.comb(10, 5) - 1)
-        assert not blfix.datum._uniform_maps(gen_random(10, 5, 8, 0)).any()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_sigma_min_bound_never_exceeds_the_svd(self, n):
-        # minors with columns 0 and 1 parallel within 1e-1 ... 1e-16, and zero minors;
-        # both sides are computed, so they may differ by rounding, n eps |A|_F
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((16, 400, n, n))
-        if n > 1:
-            a[:, :, :, 0] = a[:, :, :, 1] + 10.0 ** -np.arange(1, 17)[:, None, None] * a[:, :, :, 0]
-        a = np.concatenate([a.reshape(-1, n, n), np.zeros((3, n, n))])
-        bound = blfix.datum._sigma_min_bounds(a)
-        sigma_min = np.linalg.svd(a, compute_uv=False)[:, -1]
-        eps = np.finfo(float).eps
-        assert np.all(bound <= sigma_min + n * eps * np.linalg.norm(a, axis=(1, 2)))
-        assert np.all(bound[-3:] == 0.0) and np.all(bound >= 0.0)
-
-    @pytest.mark.parametrize("subspace_checks", [True, False])
-    def test_json_obj_keys_and_types(self, subspace_checks):
-        obj = validate(gen_young(), subspace_checks=subspace_checks).to_json_obj()
+    @pytest.mark.parametrize("screened", [True, False])
+    def test_json_obj_keys_and_types(self, capsys, tmp_path, screened):
+        # `blfix check` fills the subspace fields of an accepted datum; validate leaves them None
+        if screened:
+            save_datum(gen_young(), str(tmp_path / "young.json"))
+            assert main(["check", str(tmp_path / "young.json")]) == 0
+            obj = json.loads(capsys.readouterr().out)["report"]
+        else:
+            obj = validate(gen_young()).to_json_obj()
         assert list(obj) == ["rank_ok", "scaling_ok", "scaling_residual", "weight_range_ok",
                              "subspace_heuristic_ok", "sampled_violations", "accepted"]
         assert [type(v) for v in obj["rank_ok"]] == [bool] * 3
         assert type(obj["scaling_ok"]) is bool and type(obj["weight_range_ok"]) is bool
         assert type(obj["scaling_residual"]) is float and type(obj["accepted"]) is bool
-        assert obj["subspace_heuristic_ok"] is (True if subspace_checks else None)
-        assert type(obj["sampled_violations"]) is list
+        assert obj["subspace_heuristic_ok"] is (True if screened else None)
+        assert obj["sampled_violations"] == ([] if screened else None)
 
-    def test_sampled_subspace_labels_are_plain_ints(self, monkeypatch):
-        # beyond the cap the index sets come from the generator; their labels must
-        # read like the enumerated ones, e.g. "coordinate subspace (3, 5)"
-        monkeypatch.setattr(blfix.datum, "_COORD_SUBSPACE_CAP", 5)
-        datum = block_datum(6, 3, 4, 0)
-        rep = validate(datum)
-        assert rep.sampled_violations and rep.sampled_violations == validate(datum).sampled_violations
-        label = re.compile(r"coordinate subspace \((\d+, )*\d+,?\): ")
-        assert all(label.match(v) for v in rep.sampled_violations)
-        # no index set is tested twice; a set's length is its dimension
-        sets = [label.match(v).group(0) for v in rep.sampled_violations]
-        assert len(sets) == len(set(sets))
-        assert rep.to_json_obj() == validate_oracle(datum)
+    def test_sampled_subspace_labels_are_plain_ints(self, capsys, tmp_path):
+        # the witness's entry is plain JSON: its dim an int, its basis rows lists of floats
+        save_datum(block_datum(6, 3, 4, 0), str(tmp_path / "block.json"))
+        assert main(["check", str(tmp_path / "block.json")]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        (entry,) = report["sampled_violations"]
+        assert report["subspace_heuristic_ok"] is False and list(entry) == ["dim", "weighted_image_dims", "basis"]
+        assert type(entry["dim"]) is int and type(entry["weighted_image_dims"]) is float
+        assert len(entry["basis"]) == entry["dim"] and all(len(v) == 6 for v in entry["basis"])
+        assert {type(x) for v in entry["basis"] for x in v} == {float}
 
 
 class TestGenerators:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blfix.baseline
@@ -36,7 +36,8 @@ from blfix.solve import (
     step_G_tilde,
 )
 
-from conftest import FEASIBLE_SHAPES, dsyevd_failing_on, feasible_datum, rand_spd
+from conftest import (FEASIBLE_SHAPES, dsyevd_failing_on, feasible_datum, rand_spd, young_family,
+                      young_family_constant)
 
 YOUNG_XSTAR = SpdMatrix([[1.0, 0.5], [0.5, 1.0]])
 YOUNG_TARGET = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -585,14 +586,17 @@ class TestTraceLevels:
         assert self.ending("summary", datum, solver) == self.ending("full", datum, solver)
 
     def test_overflowing_spectrum_reads_inf(self):
-        # T T^T overflows a double; its eigenvalues come from T / 2^e, and the
-        # one beyond the doubles reads inf instead of ending the run
-        x = _Whitened(gen_holder(2, 1), SpdMatrix.identity(2))
-        x.t = np.diag([1e200, 1e100])
-        with np.errstate(over="raise"):
-            x.spectrum()
-        assert x.eig_range == (1e100 * 1e100, math.inf)
-        assert (x.log_lo, x.log_hi) == (math.log(1e100 * 1e100), math.inf)
+        # T T^T overflows a double: hi reads inf instead of ending the run, and lo
+        # is 1 / max eig(X^-1), from T^-1, or 0.0 where X^-1 overflows too
+        for diag, lo in [((1e200, 1e100), 1e200),
+                         ((1e200, 1.0), 1.0),  # a lo from T / 2^e would underflow to 0.0 here
+                         ((1e200, 1e-200), 0.0)]:
+            x = _Whitened(gen_holder(2, 1), SpdMatrix.identity(2))
+            x.t, x.t_inv = np.diag(diag), np.diag([1.0 / v for v in diag])
+            with np.errstate(over="raise"):
+                x.spectrum()
+            assert x.eig_range == pytest.approx((lo, math.inf), rel=1e-15), diag
+            assert (x.log_lo, x.log_hi) == ((math.log(lo), math.inf) if lo else (-math.inf, math.inf)), diag
 
     @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
@@ -726,6 +730,43 @@ class TestSymmetries:
     def test_young_scaled_up(self):
         f = _plain_F(_young_scaled(1e160))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e160))) <= 1e-9
+
+
+def _young_family_results(datum: BLDatum) -> dict:
+    results = {s: solve_fixed_point(datum, SolveConfig(solver=s))[0] for s in SOLVERS}
+    results["rgd"] = solve_rgd(datum, RgdConfig())[0]
+    return results
+
+
+class TestYoungFamily:
+    """Young's maps x, y and x - y at weights (a, b, c), a + b + c = 2, have the
+    closed-form constant young_family_constant, in any coordinates. The
+    regularized map is held to its epsilon contract, the others to 1e-12."""
+
+    @staticmethod
+    def assert_closed_form(results: dict, want: float):
+        for name, res in results.items():
+            rtol = SolveConfig().epsilon if name == "regularized" else 1e-12
+            assert res.status == CONVERGED, name
+            assert abs(res.bl_constant - want) <= rtol * want, (name, res.bl_constant, want)
+
+    @settings(max_examples=8, deadline=None)
+    @given(a=st.floats(0.02, 0.99), b=st.floats(0.02, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_solvers_match_the_closed_form(self, a, b, seed):
+        weights = (a, b, 2.0 - a - b)
+        assume(weights[2] <= 0.99)  # and so >= 0.02
+        self.assert_closed_form(_young_family_results(young_family(weights, seed=seed)),
+                                young_family_constant(weights))
+
+    def test_direct_sum_of_ten(self):
+        # d' = 10 takes evaluate's per-map route; the constant is the tenth power
+        weights = (0.99, 0.505, 0.505)
+        datum = young_family(weights, copies=10, seed=1)
+        assert (datum.d, datum.dprime) == (20, PER_MAP_SOLVE_DPRIME)
+        self.assert_closed_form(_young_family_results(datum), young_family_constant(weights) ** 10)
+
+    def test_two_thirds_is_the_young_oracle(self):
+        assert young_family_constant((2 / 3,) * 3) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
 
 
 # --- randomized map properties ---------------------------------------------------

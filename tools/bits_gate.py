@@ -22,21 +22,24 @@ The battery, from the identity start:
   gen_random(*shape, seed=i), on Young scaled by 1e-3 and 1e3, on the
   crafted infeasible datum, and on the common-kernel datum (three copies of
   the map [1, 0], each of weight 2/3), where the step's factor fails, so the
-  error type and the iteration it names are digested, and on
-  gen_holder(2, 1), one identity map, whose gradient is exactly zero, so a
-  signed zero in grad_norm or the residual shows in the digest;
+  error type and the iteration it names are digested, on gen_holder(2, 1),
+  one identity map, whose gradient is exactly zero, so a signed zero in
+  grad_norm or the residual shows in the digest, and on Young's maps at
+  weights (0.99, 0.505, 0.505), near the edge of the Brascamp-Lieb polytope,
+  in random coordinates (U_j L_j A, drawn with seed 0), where the solvers
+  take about 900 iterations;
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
   and `metric thompson` and `metric hilbert` on two random 8x8 matrices;
-- `check` on three infeasible data, so its violation lists are digested: the
-  crafted datum, and the block data block_datum(6, 3, 4, seed=0) and
-  block_datum(17, 2, 9, seed=0), whose maps see only the first half of the
-  coordinates. The last has more coordinate subspaces per middle dimension
-  than validate enumerates, so its violations come from the seed-0 draws;
-- `check` on a feasible datum whose map 0 is not uniform (near_dependent_datum:
-  column 1 within 1e-12 of column 0), so validate ranks that map's coordinate
-  images by SVD and the other maps' by the minor certificate.
+- `check` on five infeasible data, so the witnesses it prints are digested:
+  the crafted datum, plain and turned by 0.3 rad (L_j R), and the block data
+  block_datum(6, 3, 4, seed=0), plain and in random coordinates (U_j L_j A,
+  drawn with seed 0), and block_datum(17, 2, 9, seed=0), whose maps see only
+  the first half of the coordinates. The turned and the random coordinates
+  let the digest see whether the screen depends on the coordinates;
+- `check` on a feasible datum with a near-dependent column pair
+  (near_dependent_datum: column 1 of map 0 within 1e-12 of column 0).
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -66,6 +69,7 @@ LEVELS = ("summary", "full")
 CLI_SOLVERS = ("g", "gmu", "gtilde", "rgd")
 CRAFTED = ([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]], [0.9, 0.9, 0.2])  # maps x, x, y: infeasible
 COMMON_KERNEL = ([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)  # every map kills e_2: S is singular
+YOUNG_EDGE_WEIGHTS = (0.99, 0.505, 0.505)
 WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]+')
 
 
@@ -93,6 +97,8 @@ def battery() -> dict:
     data["crafted"] = blfix.BLDatum.from_maps(*CRAFTED)
     data["common-kernel"] = blfix.BLDatum.from_maps(*COMMON_KERNEL)
     data["holder(2, 1)"] = blfix.gen_holder(2, 1)
+    edge = blfix.BLDatum.from_maps(young.maps, YOUNG_EDGE_WEIGHTS)
+    data[f"young{YOUNG_EDGE_WEIGHTS}"] = workloads.rotate(edge, np.random.default_rng(0))
     return data
 
 
@@ -113,7 +119,7 @@ def block_datum(d: int, dprime: int, m: int, seed: int):
 
 def near_dependent_datum():
     """gen_random(8, 4, 6, seed=3) with column 1 of map 0 replaced by
-    column 0 + 1e-12 * column 2: still feasible, but no longer certified."""
+    column 0 + 1e-12 * column 2: still feasible."""
     import blfix
 
     datum = blfix.gen_random(8, 4, 6, seed=3)
@@ -170,9 +176,12 @@ def cli_digest(argv: list) -> dict:
 
 
 def cli_battery() -> dict:
+    import math
+
     import numpy as np
 
     import blfix
+    import workloads
 
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -194,8 +203,14 @@ def cli_battery() -> dict:
                 for limit in ([], ["--max-iter", "3"]):
                     commands.append(["bench", "--datum", datum, "--solvers", ",".join(CLI_SOLVERS),
                                      *limit, "--out-dir", "out/bench"])
-            checked = {"crafted.json": blfix.BLDatum.from_maps(*CRAFTED),
+            crafted = blfix.BLDatum.from_maps(*CRAFTED)
+            c, s = math.cos(0.3), math.sin(0.3)
+            checked = {"crafted.json": crafted,
+                       "crafted-0.3rad.json": blfix.BLDatum.from_maps(
+                           [L @ np.array([[c, -s], [s, c]]) for L in crafted.maps], crafted.weights),
                        "block6.json": block_datum(6, 3, 4, seed=0),
+                       "block6-rotated.json": workloads.rotate(block_datum(6, 3, 4, seed=0),
+                                                               np.random.default_rng(0)),
                        "block17.json": block_datum(17, 2, 9, seed=0),
                        "near-dependent.json": near_dependent_datum()}
             for name, datum in checked.items():
