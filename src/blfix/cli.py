@@ -64,18 +64,6 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _result_obj(result: SolveResult) -> dict:
-    return {
-        "status": result.status,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "bl_constant": result.bl_constant,
-        "F_value": result.F_value,
-        "residual": result.residual,
-        "grad_norm": result.grad_norm,
-    }
-
-
 def _given(**flags) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
@@ -116,7 +104,15 @@ def cmd_solve(args) -> int:
             "argv": args.argv_echo,
             "datum": {"path": args.datum, "sha256": _sha256(args.datum)},
             "config": echo,
-            "result": _result_obj(result),
+            "result": {
+                "status": result.status,
+                "converged": result.converged,
+                "iterations": result.iterations,
+                "bl_constant": result.bl_constant,
+                "F_value": result.F_value,
+                "residual": result.residual,
+                "grad_norm": result.grad_norm,
+            },
             "X_star": matrix_to_json_obj(result.X_star),
             "wall_time_s": wall,
         }

@@ -65,15 +65,10 @@ def in_box(x: SpdMatrix, box: ConeBox) -> bool:
 
 
 def schatten_norm(x: SpdMatrix, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}; eigenvalues are positive here."""
-    vals = x.eigenvalues()
-    if p == 1:
-        return float(np.sum(vals))
-    if p == 2:
-        return float(math.sqrt(np.sum(vals * vals)))
-    if p == math.inf:
-        return float(vals[-1])
-    raise InvalidArgument("p must be 1, 2 or inf")
+    """Schatten p-norm for p in {1, 2, inf}: the vector p-norm of the eigenvalues."""
+    if p not in (1, 2, math.inf):
+        raise InvalidArgument("p must be 1, 2 or inf")
+    return float(np.linalg.norm(x.eigenvalues(), p))
 
 
 def snyder_bound(x: SpdMatrix, y: SpdMatrix, p) -> float:

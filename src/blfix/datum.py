@@ -98,14 +98,6 @@ class ValidationReport:
         return {**asdict(self), "accepted": self.accepted}
 
 
-def _minor_chunks(maps: np.ndarray):
-    """All maps' dprime x dprime column minors, in (m, n, dprime, dprime) views of <= _CHUNK_FLOATS entries."""
-    m, dprime, d = maps.shape
-    index_sets = itertools.combinations(range(d), dprime)
-    while chunk := list(itertools.islice(index_sets, max(1, _CHUNK_FLOATS // (m * dprime**2)))):
-        yield maps[:, :, np.array(chunk)].swapaxes(1, 2)
-
-
 def validate(datum: BLDatum) -> ValidationReport:
     """The hard checks, which gate solving: every map has full row rank (one
     stacked np.linalg.matrix_rank at rtol=RANK_RTOL), weights lie in (0, 1],
@@ -165,14 +157,16 @@ def critical_c(datum: BLDatum, limit: int = 10**6) -> float:
     """min over maps of the largest |det| over all dprime x dprime column minors.
 
     Pure brute force over column index sets, one batched det of all maps'
-    minors per chunk of them; guarded by comb(d, dprime) <= limit.
+    minors per chunk of at most _CHUNK_FLOATS entries; guarded by comb(d, dprime) <= limit.
     """
     n_sets = math.comb(datum.d, datum.dprime)
     if n_sets > limit:
         raise TooLarge(f"comb({datum.d},{datum.dprime}) = {n_sets} exceeds limit {limit}")
     best = np.zeros(datum.m)
-    for minors in _minor_chunks(datum.maps):  # a NaN minor is skipped, as by max()
-        best = np.fmax(best, np.fmax.reduce(np.abs(np.linalg.det(minors)), axis=1))
+    index_sets = itertools.combinations(range(datum.d), datum.dprime)
+    while chunk := list(itertools.islice(index_sets, max(1, _CHUNK_FLOATS // (datum.m * datum.dprime**2)))):
+        minors = datum.maps[:, :, np.array(chunk)].swapaxes(1, 2)  # (m, n, dprime, dprime)
+        best = np.fmax(best, np.fmax.reduce(np.abs(np.linalg.det(minors)), axis=1))  # skips a NaN, as max() does
     return float(best.min())
 
 

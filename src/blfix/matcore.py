@@ -172,7 +172,7 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
 
 def matrix_to_json_obj(x) -> dict:
     a = _mat(x)
-    return {"n": int(a.shape[0]), "data": [[float(v) for v in row] for row in a]}
+    return {"n": int(a.shape[0]), "data": a.tolist()}
 
 
 def matrix_from_json_obj(obj) -> SpdMatrix:

@@ -723,6 +723,25 @@ class TestSymmetries:
         assert res.status == CONVERGED
         assert res.bl_constant == pytest.approx(1e3 * math.sqrt(3) / 2, rel=1e-6)
 
+    @staticmethod
+    def assert_young_from(x0: SpdMatrix):
+        """Each fixed-point map converges on Young from x0 to sqrt(3)/2, the
+        regularized one within its epsilon contract and the others to 1e-12."""
+        want = math.sqrt(3) / 2
+        for solver in SOLVERS:
+            res, _ = solve_fixed_point(gen_young(), SolveConfig(solver=solver, x0=x0))
+            rtol = SolveConfig().epsilon if solver == "regularized" else 1e-12
+            assert res.status == CONVERGED, (solver, res.status, res.iterations)
+            assert abs(res.bl_constant - want) <= rtol * want, (solver, res.bl_constant)
+
+    def test_young_from_x0_at_cond_1e12(self):
+        self.assert_young_from(SpdMatrix(np.diag([1e6, 1e-6])))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="cond(x0) = 1e14 > BLOWUP_COND flags a feasible datum at iteration 1")
+    def test_young_from_x0_at_cond_1e14(self):
+        self.assert_young_from(SpdMatrix(np.diag([1e7, 1e-7])))
+
     def test_young_scaled_down(self):
         f = _plain_F(_young_scaled(1e-200))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e-200))) <= 1e-9

@@ -12,6 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +139,19 @@ class TestCheckPrintsWitness:
         # the widest violation: all of the blind 3-d subspace, dim 3 > 0.2 * 3
         witness = find_witness(rotated(blind_datum(), 3))
         assert witness.basis.shape == (6, 3) and witness.weighted_dims == pytest.approx(0.6, rel=1e-15)
+
+    def test_small_margin_datum_is_infeasible(self):
+        # the premise of the xfail below: the common kernel of maps 1 and 2 is
+        # 6-dimensional and violates the dimension condition by 1.5
+        datum = bits_gate.small_margin_datum()
+        h = scipy.linalg.null_space(np.vstack(datum.maps[:2]))
+        assert h.shape == (9, 6) and weighted_image_dims(datum, h) == 4.5
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="margin 1.5: the iterates separate the witness only after 30 steps")
+    def test_small_margin_witness(self):
+        datum = bits_gate.small_margin_datum()
+        assert_printed_witness(datum, check_report(datum)[1])
 
     def test_failing_gram_factor_tests_x_as_it_stands(self):
         # the premise of seen_line_datum: no test step reaches the witness before

@@ -32,6 +32,9 @@ The battery, from the identity start:
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
   and `metric thompson` and `metric hilbert` on two random 8x8 matrices;
+- `solve` on Young from two `--x0` starts: [[2, 0.5], [0.5, 1]] with `g`, `gmu`
+  and `gtilde`, and diag(1e7, 1e-7) with `g`, which flags the feasible datum
+  at iteration 1 (exit 3);
 - `check` on five infeasible data, so the witnesses it prints are digested:
   the crafted datum, plain and turned by 0.3 rad (L_j R), and the block data
   block_datum(6, 3, 4, seed=0), plain and in random coordinates (U_j L_j A,
@@ -39,7 +42,8 @@ The battery, from the identity start:
   the first half of the coordinates. The turned and the random coordinates
   let the digest see whether the screen depends on the coordinates;
 - `check` on a feasible datum with a near-dependent column pair
-  (near_dependent_datum: column 1 of map 0 within 1e-12 of column 0).
+  (near_dependent_datum: column 1 of map 0 within 1e-12 of column 0), and on
+  small_margin_datum, an infeasible datum whose witness the search misses.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -128,6 +132,21 @@ def near_dependent_datum():
     return blfix.BLDatum.from_maps([L, *datum.maps[1:]], datum.weights)
 
 
+def small_margin_datum():
+    """R^9 -> R^3: maps 1 and 2 are blind to a random 6-dimensional subspace,
+    maps 3 and 4 are generic, weights 0.75, so the subspace violates the
+    dimension condition by 6 - 0.75 * 6 = 1.5. tests/test_witness.py uses the
+    same datum."""
+    import numpy as np
+
+    import blfix
+
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    maps = [rng.standard_normal((3, 3)) @ q[:, 6:].T for _ in range(2)]
+    return blfix.BLDatum.from_maps([*maps, *(rng.standard_normal((3, 9)) for _ in range(2))], [0.75] * 4)
+
+
 def solver_digest(datum, solver: str, level: str) -> dict:
     import numpy as np
 
@@ -194,7 +213,12 @@ def cli_battery() -> dict:
             for name in ("x.json", "y.json"):
                 g = rng.standard_normal((8, 8))
                 blfix.save_matrix(blfix.SpdMatrix(g @ g.T / 8 + 0.1 * np.eye(8)), name)
+            blfix.save_matrix(blfix.SpdMatrix([[2.0, 0.5], [0.5, 1.0]]), "x0.json")
+            blfix.save_matrix(blfix.SpdMatrix(np.diag([1e7, 1e-7])), "x0-wild.json")
             commands = [["metric", which, "x.json", "y.json"] for which in ("thompson", "hilbert")]
+            commands += [["solve", "young.json", "--solver", solver, "--x0", "x0.json"]
+                         for solver in ("g", "gmu", "gtilde")]
+            commands.append(["solve", "young.json", "--solver", "g", "--x0", "x0-wild.json"])
             for datum in ("young.json", "random.json"):
                 commands.append(["check", datum])
                 for solver in CLI_SOLVERS:
@@ -212,7 +236,8 @@ def cli_battery() -> dict:
                        "block6-rotated.json": workloads.rotate(block_datum(6, 3, 4, seed=0),
                                                                np.random.default_rng(0)),
                        "block17.json": block_datum(17, 2, 9, seed=0),
-                       "near-dependent.json": near_dependent_datum()}
+                       "near-dependent.json": near_dependent_datum(),
+                       "blind.json": small_margin_datum()}
             for name, datum in checked.items():
                 blfix.save_datum(datum, name)
                 commands.append(["check", name])
