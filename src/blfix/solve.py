@@ -54,7 +54,6 @@ SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eig
 TRACE_LEVELS = ("summary", "full")
 PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
 WITNESS_STEPS = 16  # normalized steps from the identity that find_witness runs
-WITNESS_TESTS = (4, 16)  # the steps after which it tests X's eigenspaces
 WITNESS_SLACK = 1e-9  # a witness's dim H exceeds its weighted image dims by more than this
 
 
@@ -355,27 +354,24 @@ def find_witness(datum: BLDatum) -> Witness | None:
 
     On infeasible data the iterates of G blow up along a witness. So this runs
     the kernel's normalized map from the identity for WITNESS_STEPS steps and
-    tests the nested top-r eigenspaces of X after the steps in WITNESS_TESTS,
-    or where a Gram factor fails. Where S's factor fails, it tests the null
-    space of S instead, carried back by T: the nested spans of T times S's
-    eigenvectors, from the smallest eigenvalue up.
+    then tests the nested top-r eigenspaces of X once; where a Gram factor
+    fails first, it stops there and tests X as it stands. Where S's factor
+    fails, it tests the null space of S instead, carried back by T: the
+    nested spans of T times S's eigenvectors, from the smallest eigenvalue up.
     """
     unit = datum.maps / np.linalg.svd(datum.maps, compute_uv=False)[:, :1, None]  # each L_j / |L_j|_2
     x = _Whitened(datum, SpdMatrix.identity(datum.d))
     with np.errstate(over="ignore", invalid="ignore"):  # only T^-1, which no candidate reads, can overflow
-        for k in range(1, WITNESS_STEPS + 1):
+        for _ in range(WITNESS_STEPS):
             try:
                 x.evaluate()
             except CholeskyFailure:  # some L_j X L_j^T is singular to working precision
-                return _widest_violation(unit, datum.weights, sym_eig(x.t @ x.t.T)[1][:, ::-1])
+                break
             try:
                 x.advance("normalized")
             except CholeskyFailure:
                 return _widest_violation(unit, datum.weights, np.linalg.qr(x.t @ sym_eig(x.s)[1])[0])
-            if k in WITNESS_TESTS and (found := _widest_violation(unit, datum.weights,
-                                                                  sym_eig(x.t @ x.t.T)[1][:, ::-1])):
-                return found
-    return None
+        return _widest_violation(unit, datum.weights, sym_eig(x.t @ x.t.T)[1][:, ::-1])
 
 
 def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,

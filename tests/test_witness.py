@@ -20,7 +20,7 @@ from blfix.cli import main
 from blfix.datum import RANK_RTOL, BLDatum, gen_holder, gen_random, gen_young, save_datum
 from blfix.errors import CholeskyFailure
 from blfix.matcore import SpdMatrix
-from blfix.solve import WITNESS_SLACK, WITNESS_STEPS, WITNESS_TESTS, _Whitened, _widest_violation, find_witness
+from blfix.solve import WITNESS_SLACK, WITNESS_STEPS, _Whitened, _widest_violation, find_witness
 
 from conftest import FEASIBLE_SHAPES, orthogonal, rotated, young_family
 from test_datum import bits_gate, block_datum, near_parallel_datum
@@ -79,7 +79,8 @@ def seen_line_datum() -> BLDatum:
     """R^3 -> R^2: maps 1 and 2 are blind to a line, maps 3 and 4 see it, weights
     (0.72, 0.72, 0.03, 0.03): dim 1 > 0.06 there. The iterates blow up along
     the line so fast that the Gram factor of map 3, whose two rows both see
-    it, fails at step 13, between the tests after steps 4 and 16."""
+    it, fails at step 13, before the search's last step WITNESS_STEPS = 16;
+    the search stops there and tests X as it stands."""
     rng = np.random.default_rng(0)
     a = orthogonal(rng, 3)
     maps = [rng.standard_normal((2, 2)) @ a[:, 1:].T for _ in range(2)]
@@ -154,8 +155,8 @@ class TestCheckPrintsWitness:
         assert_printed_witness(datum, check_report(datum)[1])
 
     def test_failing_gram_factor_tests_x_as_it_stands(self):
-        # the premise of seen_line_datum: no test step reaches the witness before
-        # map 3's Gram factor fails; the search then tests X where it stopped
+        # the premise of seen_line_datum: map 3's Gram factor fails before the
+        # search's last step; the search then tests X where it stopped
         x = _Whitened(seen_line_datum(), SpdMatrix.identity(3))
         for k in range(1, WITNESS_STEPS + 1):
             try:
@@ -163,7 +164,7 @@ class TestCheckPrintsWitness:
             except CholeskyFailure:
                 break
             x.advance("normalized")
-        assert WITNESS_TESTS[0] < k < WITNESS_TESTS[-1]
+        assert k < WITNESS_STEPS
         assert find_witness(seen_line_datum()).basis.shape == (3, 1)
 
 
@@ -212,3 +213,15 @@ class TestWidestViolation:
             assert found.basis.shape[1] == r and found.weighted_dims == pytest.approx(r - gaps[r - 1], rel=1e-15)
         else:
             assert found is None
+
+    def test_one_test_per_search(self, monkeypatch):
+        # the search tests one candidate family: where it stops, or after its last step
+        calls = []
+        monkeypatch.setattr("blfix.solve._widest_violation", lambda *args: calls.append(1) or _widest_violation(*args))
+        feasible = feasible_data()
+        data = {**feasible, **{f"{name}-rotated": rotated(datum, 1) for name, datum in feasible.items()},
+                **{name: make() for name, make in INFEASIBLE.items()}}
+        for name, datum in data.items():
+            calls.clear()
+            find_witness(datum)
+            assert len(calls) == 1, name
