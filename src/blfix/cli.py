@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from ._util import atomic_write_text
 from .baseline import RgdConfig, solve_rgd
@@ -123,12 +124,12 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     datum = load_datum(args.datum)
     report = validate(datum)
-    if report.accepted:  # a rejected datum leaves both subspace fields None
+    ok = violations = None
+    if report.accepted:
         witness = find_witness(datum)
-        report.subspace_heuristic_ok = witness is None
-        report.sampled_violations = [] if witness is None else [
-            {"dim": witness.basis.shape[1], "weighted_image_dims": witness.weighted_dims,
-             "basis": witness.basis.T.tolist()}]
+        ok = witness is None
+        violations = [] if ok else [{"dim": witness.basis.shape[1], "weighted_image_dims": witness.weighted_dims,
+                                     "basis": witness.basis.T.tolist()}]
     try:
         c = critical_c(datum)
     except TooLarge:
@@ -138,7 +139,8 @@ def cmd_check(args) -> int:
             "schema": SCHEMA,
             "command": "check",
             "datum": {"path": args.datum, "sha256": _sha256(args.datum)},
-            "report": report.to_json_obj(),
+            "report": {**asdict(report), "subspace_heuristic_ok": ok, "sampled_violations": violations,
+                       "accepted": report.accepted},
             "critical_c": c,
         }
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,35 +75,30 @@ class BLDatum:
 
 @dataclass
 class ValidationReport:
-    """Outcome of validate(); a datum is solvable iff the hard checks pass.
-
-    validate() leaves the subspace fields None. On a datum that passes the hard
-    checks, `blfix check` fills them from blfix.solve.find_witness:
-    `subspace_heuristic_ok` means "no witness found", never a proof of
-    feasibility, and `sampled_violations` lists the witness, if any.
-    """
+    """Outcome of validate(); a datum is solvable iff the hard checks pass."""
 
     rank_ok: list
     scaling_ok: bool
     scaling_residual: float
     weight_range_ok: bool
-    subspace_heuristic_ok: bool | None = None
-    sampled_violations: list | None = None
 
     @property
     def accepted(self) -> bool:
         return bool(all(self.rank_ok) and self.scaling_ok and self.weight_range_ok)
 
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "accepted": self.accepted}
+
+def _prescaled(datum: BLDatum) -> tuple[np.ndarray, np.ndarray]:
+    """Each L_j divided by 2^e_j, e_j the binary exponent of its largest entry, and the e_j."""
+    exps = np.frexp(np.abs(datum.maps).max(axis=(1, 2)))[1]
+    return np.ldexp(datum.maps, -exps[:, None, None]), exps
 
 
 def validate(datum: BLDatum) -> ValidationReport:
     """The hard checks, which gate solving: every map has full row rank (one
-    stacked np.linalg.matrix_rank at rtol=RANK_RTOL), weights lie in (0, 1],
-    and the dimensions satisfy sum_j w_j * dprime = d within SCALING_TOL.
+    stacked np.linalg.matrix_rank at rtol=RANK_RTOL of the _prescaled maps),
+    weights lie in (0, 1], and sum_j w_j * dprime = d within SCALING_TOL.
     """
-    rank_ok = (np.linalg.matrix_rank(datum.maps, rtol=RANK_RTOL) == datum.dprime).tolist()
+    rank_ok = (np.linalg.matrix_rank(_prescaled(datum)[0], rtol=RANK_RTOL) == datum.dprime).tolist()
     weight_range_ok = bool(np.all(datum.weights > 0.0) and np.all(datum.weights <= 1.0))
     with np.errstate(over="ignore"):  # weights near the double limit sum to inf and fail
         residual = abs(float(np.sum(datum.weights) * datum.dprime) - datum.d)
@@ -164,9 +159,10 @@ def critical_c(datum: BLDatum, limit: int = 10**6) -> float:
         raise TooLarge(f"comb({datum.d},{datum.dprime}) = {n_sets} exceeds limit {limit}")
     best = np.zeros(datum.m)
     index_sets = itertools.combinations(range(datum.d), datum.dprime)
-    while chunk := list(itertools.islice(index_sets, max(1, _CHUNK_FLOATS // (datum.m * datum.dprime**2)))):
-        minors = datum.maps[:, :, np.array(chunk)].swapaxes(1, 2)  # (m, n, dprime, dprime)
-        best = np.fmax(best, np.fmax.reduce(np.abs(np.linalg.det(minors)), axis=1))  # skips a NaN, as max() does
+    with np.errstate(over="ignore"):  # a minor beyond the double range is inf, its correctly rounded |det|
+        while chunk := list(itertools.islice(index_sets, max(1, _CHUNK_FLOATS // (datum.m * datum.dprime**2)))):
+            minors = datum.maps[:, :, np.array(chunk)].swapaxes(1, 2)  # (m, n, dprime, dprime)
+            best = np.fmax(best, np.fmax.reduce(np.abs(np.linalg.det(minors)), axis=1))  # skips a NaN, as max() does
     return float(best.min())
 
 

@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dpotrf
 
 from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
-from .datum import RANK_RTOL, BLDatum, validate
+from .datum import RANK_RTOL, BLDatum, _prescaled, validate
 from .errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
                      ValidationFailed)
 from .matcore import SpdMatrix, cholesky, log_det, sym_eig, sym_op_norm
@@ -160,19 +160,19 @@ class _Whitened:
     call; `diag_blocks`, a strided view of its m diagonal blocks, takes the
     C_j in one copy, and the zeros off them are never written. From it on
     they are m dtrsm calls of d'^2 d flops each, in place on the columns of
-    M^T. Each L_j is first divided by 2^e_j, e_j the binary exponent of its
-    largest entry. That is exact and leaves P and the W_j unchanged, so no
-    pushforward can overflow or underflow; F moves by 2 ln2 d' sum_j w_j e_j,
-    which is added back. `step_len` is the Thompson length of the step that
-    reached the iterate. `log_lo` and `log_hi` bound the logs of X's extreme
-    eigenvalues; `eig_range` holds them once computed, else nans.
+    M^T. The maps are first _prescaled, each L_j divided by 2^e_j, which is
+    exact and leaves P and the W_j unchanged, so no pushforward can overflow
+    or underflow; F moves by 2 ln2 d' sum_j w_j e_j, which is added back.
+    `step_len` is the Thompson length of the step that reached the iterate.
+    `log_lo` and `log_hi` bound the logs of X's extreme eigenvalues;
+    `eig_range` holds them once computed, else nans.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
         if x.n != datum.d:
             raise DimensionMismatch(f"start point is {x.n}x{x.n}, datum has d={datum.d}")
-        exps = np.frexp(np.abs(datum.maps).max(axis=(1, 2)))[1]
-        self.maps = np.ldexp(datum.maps, -exps[:, None, None]).reshape(-1, datum.d)
+        maps, exps = _prescaled(datum)
+        self.maps = maps.reshape(-1, datum.d)
         self.shape = (datum.m, datum.dprime, datum.d)
         self.row_w = np.repeat(datum.weights, datum.dprime)
         self.sqrt_w = np.repeat(np.sqrt(self.row_w)[:, None], datum.d, 1)  # full shape: no broadcast
@@ -340,10 +340,10 @@ class Witness(NamedTuple):
 def _widest_violation(unit: np.ndarray, weights: np.ndarray, basis: np.ndarray) -> Witness | None:
     """The span H_r of basis[:, :r], r = 1..d, whose dimension exceeds its weighted
     image dims by the most, if by more than WITNESS_SLACK. `unit` holds the maps
-    over their operator norms; one batched SVD ranks all m d images L_j H_r."""
+    over their operator norms; one stacked matrix_rank ranks all m d images L_j H_r."""
     d = len(basis)
     images = np.dot(unit, basis)[:, None] * np.tri(d, dtype=bool)[:, None]  # [j, r - 1] is L_j H_r, zero-padded
-    ranks = np.count_nonzero(np.linalg.svd(images, compute_uv=False) > RANK_RTOL, axis=-1)
+    ranks = np.linalg.matrix_rank(images, tol=RANK_RTOL)
     weighted = weights @ ranks
     r = int(np.argmax(np.arange(1, d + 1) - weighted)) + 1
     return Witness(basis[:, :r], float(weighted[r - 1])) if r - weighted[r - 1] > WITNESS_SLACK else None
@@ -358,8 +358,9 @@ def find_witness(datum: BLDatum) -> Witness | None:
     fails first, it stops there and tests X as it stands. Where S's factor
     fails, it tests the null space of S instead, carried back by T: the
     nested spans of T times S's eigenvectors, from the smallest eigenvalue up.
+    It ranks the _prescaled maps, as validate does, so no norm can overflow.
     """
-    unit = datum.maps / np.linalg.svd(datum.maps, compute_uv=False)[:, :1, None]  # each L_j / |L_j|_2
+    unit = (maps := _prescaled(datum)[0]) / np.linalg.svd(maps, compute_uv=False)[:, :1, None]  # each L_j / |L_j|_2
     x = _Whitened(datum, SpdMatrix.identity(datum.d))
     with np.errstate(over="ignore", invalid="ignore"):  # only T^-1, which no candidate reads, can overflow
         for _ in range(WITNESS_STEPS):

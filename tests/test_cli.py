@@ -348,6 +348,18 @@ class TestCheck:
         report = json.loads(captured.out)["report"]
         assert report["scaling_residual"] == math.inf and report["accepted"] is False
 
+    def test_overflowing_minor_reports_without_warnings(self, capsys, tmp_path):
+        # the 2x2 minors of maps scaled by 1e200 overflow; inf is their correctly rounded |det|
+        datum = gen_random(6, 2, 4, 0)
+        path = str(tmp_path / "huge.json")
+        save_datum(BLDatum.from_maps(datum.maps * 1e200, datum.weights), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["critical_c"] == math.inf
+
 
 class TestMetric:
     def test_thompson_value(self, capsys, tmp_path):

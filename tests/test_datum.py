@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -24,7 +25,7 @@ from blfix.datum import (
 )
 from blfix.cli import main
 from blfix.errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
-from blfix.solve import find_witness
+from blfix.solve import CONVERGED, SolveConfig, find_witness, solve_fixed_point
 
 from conftest import FEASIBLE_SHAPES
 
@@ -125,8 +126,20 @@ class TestValidate:
     def test_heuristic_skippable(self):
         # validate runs the hard checks only; `blfix check` runs the witness search
         rep = validate(gen_young())
-        assert rep.subspace_heuristic_ok is None and rep.sampled_violations is None
+        assert [f.name for f in dataclasses.fields(rep)] == ["rank_ok", "scaling_ok", "scaling_residual",
+                                                             "weight_range_ok"]
         assert rep.accepted
+
+    @pytest.mark.parametrize("c", [1.3e308, 1.7e308, 5e-324])
+    def test_map_norm_beyond_the_double_range(self, c):
+        # Young with map 0 = [c, c]: feasible at every scale, where F moves by w_0 d' ln c^2 = (4/3) ln c.
+        # |L_0|_2 = c sqrt(2) overflows at the two large c, so both rank tests rank the prescaled maps
+        unscaled, datum = (young_variant(maps=[[[a, a]], [[0.0, 1.0]], [[1.0, -1.0]]]) for a in (1.0, c))
+        assert validate(datum).accepted and find_witness(datum) is None
+        f1 = solve_fixed_point(unscaled, SolveConfig(solver="plain_g"))[0].F_value
+        res, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+        assert res.status == CONVERGED
+        assert res.F_value == pytest.approx(f1 + 4.0 / 3.0 * math.log(c), rel=1e-12)
 
     def test_pool_shapes_feasible(self):
         for i, (d, dp, m) in enumerate(FEASIBLE_SHAPES):
@@ -148,22 +161,17 @@ class TestValidate:
             with np.errstate(over="ignore", under="ignore"):  # the minors of maps scaled by 1e150 overflow
                 assert critical_c(datum) == subdet_min_max_oracle(datum), i
 
-    @pytest.mark.parametrize("screened", [True, False])
-    def test_json_obj_keys_and_types(self, capsys, tmp_path, screened):
-        # `blfix check` fills the subspace fields of an accepted datum; validate leaves them None
-        if screened:
-            save_datum(gen_young(), str(tmp_path / "young.json"))
-            assert main(["check", str(tmp_path / "young.json")]) == 0
-            obj = json.loads(capsys.readouterr().out)["report"]
-        else:
-            obj = validate(gen_young()).to_json_obj()
+    def test_json_obj_keys_and_types(self, capsys, tmp_path):
+        # `blfix check` adds the witness search's two fields to validate's report
+        save_datum(gen_young(), str(tmp_path / "young.json"))
+        assert main(["check", str(tmp_path / "young.json")]) == 0
+        obj = json.loads(capsys.readouterr().out)["report"]
         assert list(obj) == ["rank_ok", "scaling_ok", "scaling_residual", "weight_range_ok",
                              "subspace_heuristic_ok", "sampled_violations", "accepted"]
         assert [type(v) for v in obj["rank_ok"]] == [bool] * 3
         assert type(obj["scaling_ok"]) is bool and type(obj["weight_range_ok"]) is bool
         assert type(obj["scaling_residual"]) is float and type(obj["accepted"]) is bool
-        assert obj["subspace_heuristic_ok"] is (True if screened else None)
-        assert obj["sampled_violations"] == ([] if screened else None)
+        assert obj["subspace_heuristic_ok"] is True and obj["sampled_violations"] == []
 
     def test_sampled_subspace_labels_are_plain_ints(self, capsys, tmp_path):
         # the witness's entry is plain JSON: its dim an int, its basis rows lists of floats
