@@ -189,9 +189,8 @@ def cmd_bench(args) -> int:
     if args.mu is not None and all("--mu" in _IGNORED_FLAGS.get(name, ()) for name in names):
         raise InvalidArgument(f"--mu does not apply to --solvers {','.join(names)}")
 
+    os.makedirs(args.out_dir, exist_ok=True)  # before the solvers: a bad --out-dir fails at once
     runs = [(name, *_run_solver(datum, name, args, "full")) for name in names]
-
-    os.makedirs(args.out_dir, exist_ok=True)
     solvers_obj = {}
     lines = [f"{'solver':<8} {'iters':>7} {'to_tol':>7} {'status':<22} {'F_final':>24} {'bl_constant':>24}"]
     worst = 0

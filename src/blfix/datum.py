@@ -43,7 +43,7 @@ class BLDatum:
             a = np.asarray(raw, dtype=float)
             if a.ndim != 2:
                 raise ShapeMismatch(f"map {j} is not a matrix")
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise ShapeMismatch(f"map {j} has non-finite entries")
             mats.append(a)
         if not mats or 0 in mats[0].shape:  # every map has map 0's shape, checked below
@@ -55,7 +55,7 @@ class BLDatum:
         w = np.array(weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != len(mats):
             raise ShapeMismatch(f"expected {len(mats)} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ShapeMismatch("weights must be finite")
         stack = np.stack(mats)  # a copy: the caller's arrays stay theirs
         stack.setflags(write=False)

@@ -37,7 +37,7 @@ def _mat(x) -> np.ndarray:
 
 def _as_square(entries) -> np.ndarray:
     a = _mat(entries)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidArgument("matrix entries must be finite")
     return a
 
@@ -141,11 +141,14 @@ def sym_eig(s, vectors: bool = True):
     return (vals, vecs) if vectors else vals
 
 
+def _end_norm(vals: np.ndarray) -> float:
+    """The larger |value| at the two ends of an ascending spectrum: the operator norm."""
+    return float(max(abs(vals[0]), abs(vals[-1])))
+
+
 def sym_op_norm(s) -> float:
-    """Operator (spectral) norm of a symmetric matrix with finite entries: the larger
-    |eigenvalue| at the two ends of sym_eig's ascending spectrum, +0.0 for a zero matrix."""
-    v = sym_eig(_as_square(s), vectors=False)
-    return float(max(abs(v[0]), abs(v[-1])))
+    """Operator norm of a symmetric matrix with finite entries (_end_norm); +0.0 for a zero matrix."""
+    return _end_norm(sym_eig(_as_square(s), vectors=False))
 
 
 def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
@@ -159,7 +162,7 @@ def max_gen_eig(x: SpdMatrix, y: SpdMatrix) -> float:
         raise DimensionMismatch(f"dimensions differ: {x.n} vs {y.n}")
     w = _congruence(y.chol, x.a)
     s = 0.5 * w + 0.5 * w.T
-    lam = float(sym_eig(s, vectors=False)[-1]) if np.all(np.isfinite(s)) else math.inf
+    lam = float(sym_eig(s, vectors=False)[-1]) if np.isfinite(s).all() else math.inf
     if not 0.0 < lam < math.inf:
         raise InvalidArgument(f"generalized eigenvalue {lam!r}: the quotient leaves the doubles")
     return lam
@@ -187,7 +190,7 @@ def matrix_from_json_obj(obj) -> SpdMatrix:
     ):
         raise ShapeMismatch(f'field "data" must be {n} rows of {n} numbers')
     a = np.array(data, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ParseError("matrix entries must be finite")
     u = a / (np.max(np.abs(a)) or 1.0)  # a - a.T can overflow
     if np.max(np.abs(u - u.T)) > SYMMETRY_TOL:

@@ -39,7 +39,7 @@ from .cone import thompson
 from .datum import RANK_RTOL, BLDatum, _prescaled, validate
 from .errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
                      ValidationFailed)
-from .matcore import SpdMatrix, cholesky, log_det, sym_eig, sym_op_norm
+from .matcore import SpdMatrix, _end_norm, cholesky, log_det, sym_eig, sym_op_norm
 from .objective import bl_constant_from_F, pre_inversion_sum
 
 CONVERGED = "Converged"
@@ -216,7 +216,7 @@ class _Whitened:
         """Compute `eig_range` and rebase the bounds on it. Where T T^T overflows, hi
         reads inf and lo is 1 / max eig(T^-T T^-1), or 0.0 where that overflows too."""
         try:
-            eigs = sym_eig(self.t @ self.t.T, vectors=False)
+            eigs = sym_eig(np.dot(self.t, self.t.T), vectors=False)
             lo, hi = float(eigs[0]), float(eigs[-1])
         except FloatingPointError:
             try:
@@ -267,7 +267,7 @@ class _Whitened:
         half = np.exp(-0.5 * eta * lam)
         self.t, self.t_inv = np.dot(self.t, vecs) * half, np.dot((vecs / half).T, self.t_inv)
         self.log_det_t -= 0.5 * eta * float(np.add.reduce(lam))
-        self.step_len = eta * float(max(abs(lam[0]), abs(lam[-1])))
+        self.step_len = eta * _end_norm(lam)
         return self
 
 
@@ -432,7 +432,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 iterations=len(trace.rows) - 1,
                 converged=status == CONVERGED,
                 residual=getattr(trace.rows[-1], trace.residual),
-                grad_norm=sym_op_norm(x.gradient),
+                grad_norm=_end_norm(sym_eig(x.gradient, vectors=False)),
                 status=status,
             )
         except (CholeskyFailure, ConvergenceFailure) as exc:
@@ -467,7 +467,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
         f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
         grad_norm = math.nan
         if full:
-            grad_norm = sym_op_norm(x.gradient if mu == 0.0 else x.gradient + mu * x.eye)
+            grad_norm = _end_norm(sym_eig(x.gradient if mu == 0.0 else x.gradient + mu * x.eye, vectors=False))
         lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi

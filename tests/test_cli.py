@@ -491,6 +491,15 @@ class TestBench:
         assert "solver 'g' is named twice" in err
         assert not out_dir.exists()
 
+    def test_bench_out_dir_naming_a_file_exits_1_before_any_solver(self, capsys, monkeypatch, tmp_path, young_path):
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code = main(["bench", "--datum", young_path, "--out-dir", str(taken)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("blfix: io error:") and taken.read_text() == "kept\n"
+
 
 class TestUsage:
     def test_unknown_solver(self, capsys, young_path):

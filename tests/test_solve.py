@@ -251,11 +251,13 @@ class TestWhitenedKernel:
     @pytest.mark.parametrize("run", ["rgd-summary", "rgd-full", *(f"{s}-full" for s in SOLVERS)])
     def test_no_numpy_reduction_wrappers_per_iteration(self, monkeypatch, run):
         # RGD's step and check, and a full trace row's gradient norm, reduce
-        # with ndarray methods, BLAS and the ends of the sorted spectrum, and
-        # share the run's one identity: none of these wrappers runs per iterate
+        # with ndarray methods, BLAS and the ends of the sorted spectrum, share
+        # the run's one identity and scan no matrix for non-finite entries,
+        # which the loop's float policy rules out: none of these wrappers runs per iterate
         solver, level = run.rsplit("-", 1)
         calls = {name: TestOneEvaluationPerIterate.count(monkeypatch, name, module)
-                 for module, name in ((np.linalg, "norm"), (np, "sum"), (np, "max"), (np, "eye"))}
+                 for module, name in ((np.linalg, "norm"), (np, "sum"), (np, "max"), (np, "eye"),
+                                      (np, "all"), (np, "isfinite"))}
         counts = []
         for max_iter in (3, 30):
             for c in calls.values():
@@ -584,6 +586,40 @@ class TestTraceLevels:
     def test_level_never_changes_how_a_run_ends(self, case, solver):
         datum = self.datum(case)
         assert self.ending("summary", datum, solver) == self.ending("full", datum, solver)
+
+    FINITE_CASES = [(c, s) for c in (*range(len(FEASIBLE_SHAPES)), "young", "crafted", "common-kernel")
+                    for s in SOLVERS + ("rgd",)]
+
+    @pytest.mark.parametrize("case, solver", FINITE_CASES)
+    def test_loop_hands_sym_eig_finite_matrices(self, monkeypatch, case, solver):
+        # the invariant that lets the loop take norms from sym_eig without
+        # sym_op_norm's scan: under the loop's float policy every matrix it
+        # hands the eigensolver is finite, at both levels and in runs that
+        # fail; the result's grad_norm, and a full row's where mu = 0, is
+        # sym_op_norm of the final gradient, bit for bit
+        finite, frames, eig, evaluate = [], [], blfix.solve.sym_eig, _Whitened.evaluate
+
+        def checked_eig(s, vectors=True):
+            finite.append(bool(np.isfinite(s).all()))
+            return eig(s, vectors)
+
+        def kept_evaluate(x):
+            frames.append(x)
+            return evaluate(x)
+
+        monkeypatch.setattr(blfix.solve, "sym_eig", checked_eig)
+        monkeypatch.setattr(_Whitened, "evaluate", kept_evaluate)
+        datum = self.datum(case)
+        for level in TRACE_LEVELS:
+            try:
+                res, trace = _run_at(level, datum, solver)
+            except BlfixError:  # the common kernel's factor fails; RGD overflows on the crafted datum
+                continue
+            want = repr(sym_op_norm(frames[-1].gradient))
+            assert repr(res.grad_norm) == want, level
+            if level == "full" and solver in ("plain_g", "normalized"):
+                assert repr(trace.rows[-1].grad_norm) == want
+        assert finite and all(finite)
 
     def test_overflowing_spectrum_reads_inf(self):
         # T T^T overflows a double: hi reads inf instead of ending the run, and lo
