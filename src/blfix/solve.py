@@ -49,7 +49,7 @@ INFEASIBILITY_SUSPECTED = "InfeasibilitySuspected"
 SOLVERS = ("plain_g", "regularized", "normalized")
 
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
-LOG_HALF_BLOWUP = math.log(0.5 * BLOWUP_COND)  # extremes' cap on log(hi/lo)
+LOG_HALF_BLOWUP = math.log(0.5 * BLOWUP_COND)  # the fixed-point check's cap on log(hi/lo)
 SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
 TRACE_LEVELS = ("summary", "full")
 PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
@@ -148,24 +148,17 @@ class _Whitened:
     """A run's one iterate X = T T^T, which each step moves in place, and the
     datum in the coordinates where X is the identity: there the maps are
     M_j = L_j T, and `evaluate` makes one batched call per stage for all m maps
-    (bar the per-map triangular solves below),
+    (bar the per-map triangular solves),
 
         M_j M_j^T = C_j C_j^T,   W_j = C_j^{-1} M_j,   S = sum_j w_j W_j^T W_j,
         F = sum_j w_j 2 sum log diag C_j - 2 log|det T|,
 
     where S = T^T P T for the pre-inversion sum P at X and each W_j has
-    orthonormal rows. The m triangular solves take one of two routes, chosen
-    by the block size d'. Below PER_MAP_SOLVE_DPRIME they are one dtrsm
-    against the md' x md' block diagonal of the C_j, (md')^2 d flops in one
-    call; `diag_blocks`, a strided view of its m diagonal blocks, takes the
-    C_j in one copy, and the zeros off them are never written. From it on
-    they are m dtrsm calls of d'^2 d flops each, in place on the columns of
-    M^T. The maps are first _prescaled, each L_j divided by 2^e_j, which is
-    exact and leaves P and the W_j unchanged, so no pushforward can overflow
-    or underflow; F moves by 2 ln2 d' sum_j w_j e_j, which is added back.
-    `step_len` is the Thompson length of the step that reached the iterate.
-    `log_lo` and `log_hi` bound the logs of X's extreme eigenvalues;
-    `eig_range` holds them once computed, else nans.
+    orthonormal rows. The README's "Whitened coordinates" gives the two
+    triangular-solve routes, split at PER_MAP_SOLVE_DPRIME, and the exact
+    prescaling of the maps, whose shift of F is `offset`. `step_len` is the
+    Thompson length of the step that reached the iterate, and `eig_range`
+    X's extreme eigenvalues once `spectrum` computed them, else nans.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -184,8 +177,7 @@ class _Whitened:
             self.diag_blocks = as_strided(self.blocks, (datum.m, dp, dp), (dp * (row + col), row, col))
         self.eye = np.eye(x.n)  # the run's one identity: S - I, and mu I in a full trace's grad_norm
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, self.eye, lower=1)
-        self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
-        self.log_lo, self.log_hi, self.eig_range = -math.inf, math.inf, (math.nan, math.nan)
+        self.log_det_t, self.step_len, self.eig_range = 0.5 * log_det(x), math.nan, (math.nan, math.nan)
 
     def evaluate(self) -> "_Whitened":
         """Set value (F) and s (S)."""
@@ -213,27 +205,18 @@ class _Whitened:
         return 0.5 * (g + g.T)
 
     def spectrum(self) -> None:
-        """Compute `eig_range` and rebase the bounds on it. Where T T^T overflows, hi
-        reads inf and lo is 1 / max eig(T^-T T^-1), or 0.0 where that overflows too."""
+        """Compute `eig_range`. Where T T^T overflows, hi reads inf and lo is
+        1 / max eig(T^-T T^-1): 0.0 where that overflows, inf where it underflows."""
         try:
             eigs = sym_eig(np.dot(self.t, self.t.T), vectors=False)
             lo, hi = float(eigs[0]), float(eigs[-1])
         except FloatingPointError:
             try:
-                lo, hi = 1.0 / float(sym_eig(self.t_inv.T @ self.t_inv, vectors=False)[-1]), math.inf
+                top = float(sym_eig(self.t_inv.T @ self.t_inv, vectors=False)[-1])
+                lo, hi = 1.0 / top if top else math.inf, math.inf
             except FloatingPointError:
                 lo, hi = 0.0, math.inf
         self.eig_range = lo, hi
-        self.log_lo, self.log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
-
-    def extremes(self, hi_cap: float) -> tuple[float, float]:
-        """`eig_range`, computed unless the bounds prove hi <= hi_cap and
-        hi/lo <= BLOWUP_COND / 2 (a computed lo's roundoff grows with hi/lo);
-        else it may stay nan, which fails every comparison."""
-        if math.isnan(self.eig_range[0]) and (self.log_hi > math.log(hi_cap)
-                                              or self.log_hi - self.log_lo > LOG_HALF_BLOWUP):
-            self.spectrum()
-        return self.eig_range
 
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
         """Move this evaluated iterate, in place, to its image under the solver's map.
@@ -393,12 +376,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     a CholeskyFailure or ConvergenceFailure and an overflow as a StepFailure, with
     the iteration index, in the loop or in building the result from the last one.
 
-    Each step_len is an exact Thompson length, so if eig(X_r) lies in [lo, hi]
-    and the steps since r sum to D, eig(X_k) lies in [lo e^-D, hi e^D]: each
-    iterate widens its predecessor's bounds by step_len + SPECTRUM_PAD. The
-    spectrum is computed at iterate 0, on every iterate when `full`, and where
-    a check's `extremes` caps are not ruled out by the bounds. Checks decide
-    on computed eigenvalues only, so both trace levels run the same iterates.
+    A step resets `eig_range` to nans, so a row's min_eig and max_eig are
+    always its own iterate's, where `full`, iterate 0 or the check computed them.
     """
     report = validate(datum)
     if not report.accepted:
@@ -415,8 +394,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
             for k in range(max_iter + 1):
                 if k:
                     x = step(x)
-                    pad = x.step_len + SPECTRUM_PAD
-                    x.log_lo, x.log_hi, x.eig_range = x.log_lo - pad, x.log_hi + pad, unknown
+                    x.eig_range = unknown
                 x.evaluate()
                 if full or not k:
                     x.spectrum()
@@ -452,14 +430,20 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     point, so blowup is the expected signature. A run that reaches max_iter
     ends as MaxIter, whatever its step lengths did. Numeric failures carry the
     iteration index.
+
+    The check carries bounds on log eig(X): a step of exact Thompson length D
+    moves each log eig by at most D, so each iterate widens them by step_len +
+    SPECTRUM_PAD. It computes the spectrum only where they cannot prove
+    hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2 (a computed lo's
+    roundoff grows with hi/lo), and rebases them on any computed spectrum.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
     trace, full = IterTrace(), config.trace == "full"
-    mu = r_base = 0.0
+    mu = r_base = log_lo = log_hi = 0.0  # iterate 0's spectrum sets the bounds
     adaptive = config.solver == "regularized" and config.mu_override is None
 
     def check(k, x):
-        nonlocal mu, r_base
+        nonlocal mu, r_base, log_lo, log_hi
         if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
             r_base = max(1.0, x.eig_range[1])
             mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
@@ -468,7 +452,14 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
         grad_norm = math.nan
         if full:
             grad_norm = _end_norm(sym_eig(x.gradient if mu == 0.0 else x.gradient + mu * x.eye, vectors=False))
-        lo, hi = x.extremes(2.0 * r_base if adaptive else math.inf)
+        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, where the rebase below overwrites the bounds
+        log_lo, log_hi = log_lo - pad, log_hi + pad
+        if math.isnan(x.eig_range[0]) and (log_hi > math.log(2.0 * r_base if adaptive else math.inf)
+                                           or log_hi - log_lo > LOG_HALF_BLOWUP):
+            x.spectrum()
+        lo, hi = x.eig_range
+        if not math.isnan(lo):
+            log_lo, log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi
             mu = choose_mu(config.epsilon, r_base, datum.d)

@@ -38,6 +38,7 @@ from blfix.solve import (
 
 from conftest import (FEASIBLE_SHAPES, dsyevd_failing_on, feasible_datum, rand_spd, young_family,
                       young_family_constant)
+from test_datum import bits_gate
 
 YOUNG_XSTAR = SpdMatrix([[1.0, 0.5], [0.5, 1.0]])
 YOUNG_TARGET = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -623,16 +624,18 @@ class TestTraceLevels:
 
     def test_overflowing_spectrum_reads_inf(self):
         # T T^T overflows a double: hi reads inf instead of ending the run, and lo
-        # is 1 / max eig(X^-1), from T^-1, or 0.0 where X^-1 overflows too
+        # is 1 / max eig(X^-1), from T^-1, 0.0 where X^-1 overflows too, and inf
+        # where X^-1 underflows to zero, as every eigenvalue of X is then past the
+        # double range
         for diag, lo in [((1e200, 1e100), 1e200),
                          ((1e200, 1.0), 1.0),  # a lo from T / 2^e would underflow to 0.0 here
-                         ((1e200, 1e-200), 0.0)]:
+                         ((1e200, 1e-200), 0.0),
+                         ((1e200, 1e200), math.inf)]:
             x = _Whitened(gen_holder(2, 1), SpdMatrix.identity(2))
             x.t, x.t_inv = np.diag(diag), np.diag([1.0 / v for v in diag])
             with np.errstate(over="raise"):
                 x.spectrum()
             assert x.eig_range == pytest.approx((lo, math.inf), rel=1e-15), diag
-            assert (x.log_lo, x.log_hi) == ((math.log(lo), math.inf) if lo else (-math.inf, math.inf)), diag
 
     @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
@@ -672,13 +675,15 @@ def test_non_finite_scalar_argument_rejected(name, call, value):
 # --- symmetries of the constant ---------------------------------------------------
 #
 # F = -2 log BL, so L_j -> c L_j adds 2 d log c to the minimum of F and
-# L_j -> L_j A adds 2 log |det A|.
+# L_j -> L_j A adds 2 log |det A|. Each fixed-point map must move by these
+# amounts, regularized within its epsilon contract (2 epsilon in F).
 
 SYMMETRY_SHAPES = [i for i, s in enumerate(FEASIBLE_SHAPES) if s[0] <= 6]
+SYMMETRY_TOL = {"plain_g": 1e-9, "normalized": 1e-9, "regularized": 2 * SolveConfig().epsilon}
 
 
-def _plain_F(datum: BLDatum) -> float:
-    res, _ = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+def _fixed_point_F(datum: BLDatum, solver: str = "plain_g") -> float:
+    res, _ = solve_fixed_point(datum, SolveConfig(solver=solver))
     assert res.status == CONVERGED
     return res.F_value
 
@@ -691,10 +696,10 @@ def _rgd_F(datum: BLDatum) -> float:
 
 @functools.cache
 def _base_F(i: int) -> float:
-    return _plain_F(feasible_datum(i))
+    return _fixed_point_F(feasible_datum(i))
 
 
-def _moved_F(i: int, transform, solve=_plain_F) -> float:
+def _moved_F(i: int, transform, solve=_fixed_point_F) -> float:
     datum = feasible_datum(i)
     return solve(BLDatum.from_maps([transform(L) for L in datum.maps], datum.weights))
 
@@ -713,22 +718,25 @@ def _young_scaled(c: float) -> BLDatum:
 
 
 class TestSymmetries:
-    @settings(max_examples=15, deadline=None)
-    @given(i=st.sampled_from(SYMMETRY_SHAPES), log10_c=st.floats(-3.0, 3.0))
-    def test_scaling(self, i, log10_c):
+    @settings(max_examples=30, deadline=None)
+    @given(solver=st.sampled_from(SOLVERS), i=st.sampled_from(SYMMETRY_SHAPES), log10_c=st.floats(-3.0, 3.0))
+    def test_scaling(self, solver, i, log10_c):
         c = 10.0**log10_c
         d = FEASIBLE_SHAPES[i][0]
-        assert abs(_moved_F(i, lambda L: c * L) - (_base_F(i) + 2 * d * math.log(c))) <= 1e-9
+        moved = _moved_F(i, lambda L: c * L, functools.partial(_fixed_point_F, solver=solver))
+        assert abs(moved - (_base_F(i) + 2 * d * math.log(c))) <= SYMMETRY_TOL[solver]
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
+        solver=st.sampled_from(SOLVERS),
         i=st.sampled_from(SYMMETRY_SHAPES),
         seed=st.integers(0, 2**32 - 1),
         sv=st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
     )
-    def test_change_of_basis(self, i, seed, sv):
+    def test_change_of_basis(self, solver, i, seed, sv):
         a, log_det_a = _basis_change(FEASIBLE_SHAPES[i][0], seed, sv)
-        assert abs(_moved_F(i, lambda L: L @ a) - (_base_F(i) + 2 * log_det_a)) <= 1e-9
+        moved = _moved_F(i, lambda L: L @ a, functools.partial(_fixed_point_F, solver=solver))
+        assert abs(moved - (_base_F(i) + 2 * log_det_a)) <= SYMMETRY_TOL[solver]
 
     # RGD minimizes the same F, so it must move by the same amounts.
 
@@ -779,15 +787,15 @@ class TestSymmetries:
         self.assert_young_from(SpdMatrix(np.diag([1e7, 1e-7])))
 
     def test_young_scaled_down(self):
-        f = _plain_F(_young_scaled(1e-200))
+        f = _fixed_point_F(_young_scaled(1e-200))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e-200))) <= 1e-9
 
     def test_young_scaled_up(self):
-        f = _plain_F(_young_scaled(1e160))
+        f = _fixed_point_F(_young_scaled(1e160))
         assert abs(f - (math.log(4 / 3) + 4 * math.log(1e160))) <= 1e-9
 
 
-def _young_family_results(datum: BLDatum) -> dict:
+def _all_results(datum: BLDatum) -> dict:
     results = {s: solve_fixed_point(datum, SolveConfig(solver=s))[0] for s in SOLVERS}
     results["rgd"] = solve_rgd(datum, RgdConfig())[0]
     return results
@@ -810,7 +818,7 @@ class TestYoungFamily:
     def test_solvers_match_the_closed_form(self, a, b, seed):
         weights = (a, b, 2.0 - a - b)
         assume(weights[2] <= 0.99)  # and so >= 0.02
-        self.assert_closed_form(_young_family_results(young_family(weights, seed=seed)),
+        self.assert_closed_form(_all_results(young_family(weights, seed=seed)),
                                 young_family_constant(weights))
 
     def test_direct_sum_of_ten(self):
@@ -818,10 +826,23 @@ class TestYoungFamily:
         weights = (0.99, 0.505, 0.505)
         datum = young_family(weights, copies=10, seed=1)
         assert (datum.d, datum.dprime) == (20, PER_MAP_SOLVE_DPRIME)
-        self.assert_closed_form(_young_family_results(datum), young_family_constant(weights) ** 10)
+        self.assert_closed_form(_all_results(datum), young_family_constant(weights) ** 10)
 
     def test_two_thirds_is_the_young_oracle(self):
         assert young_family_constant((2 / 3,) * 3) == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Cholesky-QR W_j lose orthonormality like eps cond(M_j)^2")
+def test_column_scaled_datum():
+    # feasible, and cond X stays near 1200, but one column of a map is scaled by
+    # 1e6; every solver must converge to the one F, regularized within 2 epsilon
+    results = _all_results(bits_gate.column_scaled_datum())
+    want = results["plain_g"].F_value
+    for name, res in results.items():
+        tol = 2 * SolveConfig().epsilon if name == "regularized" else 1e-10 * max(1.0, abs(want))
+        assert res.status == CONVERGED, (name, res.status, res.iterations)
+        assert abs(res.F_value - want) <= tol, (name, res.F_value, want)
 
 
 # --- randomized map properties ---------------------------------------------------

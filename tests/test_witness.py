@@ -109,9 +109,7 @@ def feasible_data() -> dict:
     data["random(10,5,8)"] = gen_random(10, 5, 8, 0)
     data.update({f"random(10,5,8)*{c:g}": BLDatum.from_maps(c * data["random(10,5,8)"].maps, [0.25] * 8)
                  for c in (1e-150, 1e150)})
-    base = gen_random(6, 3, 4, 5)
-    data["random(6,3,4,5)-column*1e6"] = BLDatum.from_maps([base.maps[0] * [1, 1, 1e6, 1, 1, 1], *base.maps[1:]],
-                                                           base.weights)
+    data["random(6,3,4,5)-column*1e6"] = bits_gate.column_scaled_datum()
     data["near-parallel-young"] = BLDatum.from_maps([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1e-9]]], [2 / 3] * 3)
     data["loomis-whitney"] = BLDatum.from_maps([np.eye(3)[[0, 1]], np.eye(3)[[0, 2]], np.eye(3)[[1, 2]]], [0.5] * 3)
     data["holder(3,2)"] = gen_holder(3, 2)

@@ -27,7 +27,8 @@ The battery, from the identity start:
   grad_norm or the residual shows in the digest, and on Young's maps at
   weights (0.99, 0.505, 0.505), near the edge of the Brascamp-Lieb polytope,
   in random coordinates (U_j L_j A, drawn with seed 0), where the solvers
-  take about 900 iterations;
+  take about 900 iterations, and on column_scaled_datum, a feasible datum on
+  which the Gram matrices square a map's condition number;
 - the CLI on Young and gen_random(10, 5, 8, seed=0): `solve` with each solver,
   without and with `--trace`, `bench` with all four solvers at the default
   `--max-iter` and at `--max-iter 3` (every run ends MaxIter, exit 2), `check`,
@@ -103,6 +104,7 @@ def battery() -> dict:
     data["holder(2, 1)"] = blfix.gen_holder(2, 1)
     edge = blfix.BLDatum.from_maps(young.maps, YOUNG_EDGE_WEIGHTS)
     data[f"young{YOUNG_EDGE_WEIGHTS}"] = workloads.rotate(edge, np.random.default_rng(0))
+    data["random(6,3,4,5)-column*1e6"] = column_scaled_datum()
     return data
 
 
@@ -130,6 +132,17 @@ def near_dependent_datum():
     L = datum.maps[0].copy()
     L[:, 1] = L[:, 0] + 1e-12 * L[:, 2]
     return blfix.BLDatum.from_maps([L, *datum.maps[1:]], datum.weights)
+
+
+def column_scaled_datum():
+    """gen_random(6, 3, 4, seed=5) with column 2 of map 0 scaled by 1e6: feasible,
+    and cond X stays near 1200, but cond(L_0) is about 5e5 and cond(L_0 T) about
+    1.5e6 near the fixed point, which the Gram matrix L_0 X L_0^T squares.
+    tests/test_witness.py and tests/test_solve.py use the same datum."""
+    import blfix
+
+    base = blfix.gen_random(6, 3, 4, seed=5)
+    return blfix.BLDatum.from_maps([base.maps[0] * [1, 1, 1e6, 1, 1, 1], *base.maps[1:]], base.weights)
 
 
 def small_margin_datum():
