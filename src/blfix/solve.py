@@ -157,8 +157,7 @@ class _Whitened:
     orthonormal rows. The README's "Whitened coordinates" gives the two
     triangular-solve routes, split at PER_MAP_SOLVE_DPRIME, and the exact
     prescaling of the maps, whose shift of F is `offset`. `step_len` is the
-    Thompson length of the step that reached the iterate, and `eig_range`
-    X's extreme eigenvalues once `spectrum` computed them, else nans.
+    Thompson length of the step that reached the iterate.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -177,7 +176,7 @@ class _Whitened:
             self.diag_blocks = as_strided(self.blocks, (datum.m, dp, dp), (dp * (row + col), row, col))
         self.eye = np.eye(x.n)  # the run's one identity: S - I, and mu I in a full trace's grad_norm
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, self.eye, lower=1)
-        self.log_det_t, self.step_len, self.eig_range = 0.5 * log_det(x), math.nan, (math.nan, math.nan)
+        self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
 
     def evaluate(self) -> "_Whitened":
         """Set value (F) and s (S)."""
@@ -204,9 +203,9 @@ class _Whitened:
         g = self.t_inv.T @ (self.s - self.eye) @ self.t_inv  # @, so an overflow reads "in matmul"
         return 0.5 * (g + g.T)
 
-    def spectrum(self) -> None:
-        """Compute `eig_range`. Where T T^T overflows, hi reads inf and lo is
-        1 / max eig(T^-T T^-1): 0.0 where that overflows, inf where it underflows."""
+    def spectrum(self) -> tuple[float, float]:
+        """X's extreme eigenvalues (lo, hi). Where T T^T overflows, hi reads inf and lo
+        is 1 / max eig(T^-T T^-1): 0.0 where that overflows, inf where it underflows."""
         try:
             eigs = sym_eig(np.dot(self.t, self.t.T), vectors=False)
             lo, hi = float(eigs[0]), float(eigs[-1])
@@ -216,7 +215,7 @@ class _Whitened:
                 lo, hi = 1.0 / top if top else math.inf, math.inf
             except FloatingPointError:
                 lo, hi = 0.0, math.inf
-        self.eig_range = lo, hi
+        return lo, hi
 
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
         """Move this evaluated iterate, in place, to its image under the solver's map.
@@ -236,6 +235,9 @@ class _Whitened:
         self.log_det_t, shift = self.log_det_t - float(np.add.reduce(np.log(r.diagonal()))), 0.0
         if solver == "normalized":
             shift = math.log(np.vdot(self.t, self.t))  # the log of the trace of T T^T
+            if shift == math.inf:  # that trace overflowed (BLAS raises no flag): scale T by its largest |entry|
+                top = float(np.abs(self.t).max())
+                shift = math.log(np.vdot(self.t / top, self.t / top)) + 2.0 * math.log(top)
             self.t, self.t_inv = self.t * math.exp(-0.5 * shift), self.t_inv * math.exp(0.5 * shift)
             self.log_det_t -= 0.5 * len(s) * shift
         self.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
@@ -366,18 +368,17 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
     The gate raises ValidationFailed, naming every hard check, unless the
     datum passes them all. `step(x)` moves x to the next iterate, not yet
     evaluated, which carries the length of the step that reached it.
-    `check(k, x)`, given the evaluated iterate k, returns the trace row's F_mu
-    and grad_norm plus a stop status, or None to go on; after max_iter steps
-    the run ends as MaxIter. The one evaluation of an iterate feeds its check,
-    its row, the step from it and, for the last iterate, the result, whose
-    residual is the row's `trace.residual` column and whose grad_norm is
+    `check(k, x, wanted)`, given the evaluated iterate k, returns the trace
+    row's F_mu, grad_norm, min_eig and max_eig, the last two nan unless it
+    computed X's spectrum, which `wanted` (iterate 0, and every row where
+    `full`) asks for, plus a stop status, or None to go on; after max_iter
+    steps the run ends as MaxIter. The one evaluation of an iterate feeds its
+    check, its row, the step from it and, for the last iterate, the result,
+    whose residual is the row's `trace.residual` column and whose grad_norm is
     taken there. After the gate numpy raises on overflow and on invalid
     operations. For every solver a failed Cholesky or eigensolve ends the run as
     a CholeskyFailure or ConvergenceFailure and an overflow as a StepFailure, with
     the iteration index, in the loop or in building the result from the last one.
-
-    A step resets `eig_range` to nans, so a row's min_eig and max_eig are
-    always its own iterate's, where `full`, iterate 0 or the check computed them.
     """
     report = validate(datum)
     if not report.accepted:
@@ -388,18 +389,15 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
         )
     with np.errstate(over="raise", invalid="raise"):
         x = _Whitened(datum, x0)
-        append, clock, unknown = trace.rows.append, time.perf_counter_ns, (math.nan, math.nan)
+        append, clock = trace.rows.append, time.perf_counter_ns
         t0 = clock()
         try:
             for k in range(max_iter + 1):
                 if k:
                     x = step(x)
-                    x.eig_range = unknown
                 x.evaluate()
-                if full or not k:
-                    x.spectrum()
-                f_mu, grad_norm, status = check(k, x)
-                append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, *x.eig_range, clock() - t0))
+                f_mu, grad_norm, lo, hi, status = check(k, x, full or not k)
+                append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, lo, hi, clock() - t0))
                 if status is not None:
                     break
             status = status or MAX_ITER
@@ -433,40 +431,38 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
 
     The check carries bounds on log eig(X): a step of exact Thompson length D
     moves each log eig by at most D, so each iterate widens them by step_len +
-    SPECTRUM_PAD. It computes the spectrum only where they cannot prove
-    hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2 (a computed lo's
-    roundoff grows with hi/lo), and rebases them on any computed spectrum.
+    SPECTRUM_PAD. It computes the spectrum where the loop wants it and where
+    they cannot prove hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2
+    (a computed lo's roundoff grows with hi/lo), rebases them on it, and only
+    then sets mu: on iterate 0, from that spectrum.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
     trace, full = IterTrace(), config.trace == "full"
     mu = r_base = log_lo = log_hi = 0.0  # iterate 0's spectrum sets the bounds
     adaptive = config.solver == "regularized" and config.mu_override is None
 
-    def check(k, x):
+    def check(k, x, wanted):
         nonlocal mu, r_base, log_lo, log_hi
+        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, whose wanted spectrum rebases the bounds
+        log_lo, log_hi, lo, hi = log_lo - pad, log_hi + pad, math.nan, math.nan
+        if wanted or log_hi > math.log(2.0 * r_base if adaptive else math.inf) or log_hi - log_lo > LOG_HALF_BLOWUP:
+            lo, hi = x.spectrum()
+            log_lo, log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
         if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
-            r_base = max(1.0, x.eig_range[1])
+            r_base = max(1.0, hi)
             mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
             trace.mu_events.append((0, mu))
         f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
         grad_norm = math.nan
         if full:
             grad_norm = _end_norm(sym_eig(x.gradient if mu == 0.0 else x.gradient + mu * x.eye, vectors=False))
-        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, where the rebase below overwrites the bounds
-        log_lo, log_hi = log_lo - pad, log_hi + pad
-        if math.isnan(x.eig_range[0]) and (log_hi > math.log(2.0 * r_base if adaptive else math.inf)
-                                           or log_hi - log_lo > LOG_HALF_BLOWUP):
-            x.spectrum()
-        lo, hi = x.eig_range
-        if not math.isnan(lo):
-            log_lo, log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
         if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
             r_base = hi
             mu = choose_mu(config.epsilon, r_base, datum.d)
             trace.mu_events.append((k, mu))
         if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
-            return f_mu, grad_norm, INFEASIBILITY_SUSPECTED
-        return f_mu, grad_norm, CONVERGED if x.step_len <= config.tol else None
+            return f_mu, grad_norm, lo, hi, INFEASIBILITY_SUSPECTED
+        return f_mu, grad_norm, lo, hi, CONVERGED if x.step_len <= config.tol else None
 
     def step(x):
         return x.advance(config.solver, mu)

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 
@@ -13,11 +14,12 @@ import blfix.matcore
 import blfix.objective
 import blfix.solve
 from blfix.baseline import RgdConfig, rgd_step, riem_grad, riem_grad_norm, solve_rgd
+from blfix.cli import main
 from blfix.cone import thompson
-from blfix.datum import BLDatum, gen_holder, gen_random, gen_young
+from blfix.datum import BLDatum, gen_holder, gen_random, gen_young, save_datum
 from blfix.errors import (BlfixError, CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument,
                           StepFailure, ValidationFailed)
-from blfix.matcore import SpdMatrix, sym_eig, sym_op_norm
+from blfix.matcore import SpdMatrix, save_matrix, sym_eig, sym_op_norm
 from blfix.objective import eval_F, eval_F_mu, pre_inversion_sum
 from blfix.solve import (
     CONVERGED,
@@ -46,14 +48,13 @@ YOUNG_TARGET = np.array([[0.5, 0.25], [0.25, 0.5]])
 
 def crafted_infeasible_datum() -> BLDatum:
     """Hard checks pass, but the second axis is starved; no finite fixed point."""
-    maps = [[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]
-    return BLDatum.from_maps(maps, [0.9, 0.9, 0.2])
+    return BLDatum.from_maps(*bits_gate.CRAFTED)
 
 
 def common_kernel_datum() -> BLDatum:
     """Hard checks pass, but every map kills e_2, so S is singular from the
     first step on (defect 5(c))."""
-    return BLDatum.from_maps([[[1.0, 0.0]]] * 3, [2.0 / 3.0] * 3)
+    return BLDatum.from_maps(*bits_gate.COMMON_KERNEL)
 
 
 class TestStepG:
@@ -418,7 +419,7 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("mu_override", [None, 1e-8], ids=["adaptive", "mu_override"])
     def test_regularized_reads_r_base_from_the_loop(self, monkeypatch, mu_override):
-        # the loop has computed iterate 0's spectrum, so mu needs no eigensolve of x0
+        # the check computes iterate 0's spectrum before mu, so mu needs no eigensolve of x0
         def refuse(self):
             raise AssertionError("SpdMatrix.eigenvalues called")
 
@@ -634,8 +635,7 @@ class TestTraceLevels:
             x = _Whitened(gen_holder(2, 1), SpdMatrix.identity(2))
             x.t, x.t_inv = np.diag(diag), np.diag([1.0 / v for v in diag])
             with np.errstate(over="raise"):
-                x.spectrum()
-            assert x.eig_range == pytest.approx((lo, math.inf), rel=1e-15), diag
+                assert x.spectrum() == pytest.approx((lo, math.inf), rel=1e-15), diag
 
     @pytest.mark.parametrize("solver", SOLVERS + ("rgd",))
     @pytest.mark.parametrize("i", range(len(FEASIBLE_SHAPES)))
@@ -785,6 +785,20 @@ class TestSymmetries:
                        reason="cond(x0) = 1e14 > BLOWUP_COND flags a feasible datum at iteration 1")
     def test_young_from_x0_at_cond_1e14(self):
         self.assert_young_from(SpdMatrix(np.diag([1e7, 1e-7])))
+
+    def test_normalized_from_x0_near_the_top_of_the_double_range(self, capsys, tmp_path):
+        # the trace that G~ divides by overflows a double on the first step
+        # from this start, so its log comes from T over T's largest |entry|
+        top = SpdMatrix(np.diag([1.5e308, 5e307]))
+        runs = [solve_fixed_point(gen_young(), SolveConfig(solver="normalized", x0=x0))[0]
+                for x0 in (SpdMatrix(np.diag([1.5, 0.5])), top)]
+        assert [(r.status, r.iterations) for r in runs] == [(CONVERGED, 35)] * 2
+        assert abs(runs[1].F_value - math.log(4 / 3)) <= 1e-13
+        young, x0 = str(tmp_path / "young.json"), str(tmp_path / "top.json")
+        save_datum(gen_young(), young)
+        save_matrix(top, x0)
+        assert main(["solve", young, "--solver", "gtilde", "--x0", x0]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["iterations"] == 35
 
     def test_young_scaled_down(self):
         f = _fixed_point_F(_young_scaled(1e-200))
