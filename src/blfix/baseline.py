@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_nonnegative
 from .datum import BLDatum
+from .errors import check_nonnegative
 from .matcore import SpdMatrix, _congruence
 from .objective import eval_F, pushforwards  # noqa: F401 (perfbench's tracer resolves this name)
 from .solve import CONVERGED, IterTrace, SolveResult, _check_settings, _drive, _Whitened

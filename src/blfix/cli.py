@@ -22,7 +22,6 @@ import sys
 import time
 from dataclasses import asdict
 
-from ._util import atomic_write_text
 from .baseline import RgdConfig, solve_rgd
 from .cone import hilbert, thompson
 from .datum import (
@@ -36,7 +35,7 @@ from .datum import (
     save_datum,
     validate,
 )
-from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed
+from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed, atomic_write_text
 from .matcore import load_matrix, matrix_to_json_obj
 from .solve import (
     CONVERGED,

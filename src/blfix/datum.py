@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, read_json
-from .errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge
+from .errors import InvalidArgument, InvalidShape, ParseError, ShapeMismatch, TooLarge, atomic_write_text, read_json
 
 RANK_RTOL = 1e-10  # of L_j and of its images L_j H, singular values up to RANK_RTOL * |L_j|_2 count as zero
 SCALING_TOL = 1e-10

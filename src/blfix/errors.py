@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""How blfix fails: the exception types, the argument checks that raise
+InvalidArgument, the JSON reader that raises ParseError, and the atomic writer
+that never leaves a partial file."""
+
+import json
+import math
+import os
+import tempfile
 
 
 class BlfixError(Exception):
@@ -43,3 +50,67 @@ class ValidationFailed(BlfixError):
 
 class StepFailure(BlfixError):
     """An iterate overflowed or hit an invalid operation; the message names the iteration."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value is a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgument(f"{name} must be finite and positive")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise InvalidArgument unless value is a finite nonnegative number."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidArgument(f"{name} must be finite and nonnegative")
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via a temp file in the same directory plus rename.
+
+    A failure mid-write never leaves a partial file at the destination.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token!r} is not allowed")
+
+
+def read_json(path: str, convert):
+    """Read the JSON file at path and return convert(obj) of its content.
+
+    Malformed input raises ParseError naming the file: text that is not
+    UTF-8, bad or too deeply nested JSON, NaN or Infinity, a boolean anywhere
+    (no field is one, and numpy would read true as 1.0), and entries that
+    convert cannot use (a ValueError or TypeError inside it, such as a
+    non-numeric entry or a ragged row).
+    """
+    try:
+        with open(path) as fh:
+            obj = json.loads(fh.read(), parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or a NaN or Infinity
+        raise ParseError(f"{path}: {exc}") from exc
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, bool):
+            raise ParseError(f"{path}: boolean {json.dumps(item)} is not allowed")
+        if isinstance(item, list):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+    try:
+        return convert(obj)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dsyevd
 
-from ._util import atomic_write_text, read_json
 from .errors import (
     CholeskyFailure,
     ConvergenceFailure,
@@ -23,6 +22,8 @@ from .errors import (
     InvalidArgument,
     ParseError,
     ShapeMismatch,
+    atomic_write_text,
+    read_json,
 )
 
 SYMMETRY_TOL = 1e-8  # matrix JSON reader, relative to the largest entry

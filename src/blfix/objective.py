@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_nonnegative
 from .datum import BLDatum
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_nonnegative
 from .matcore import SpdMatrix, log_det, spd_inverse, spd_solve
 
 

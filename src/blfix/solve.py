@@ -34,11 +34,10 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
-from ._util import atomic_write_text, check_nonnegative, check_positive
 from .cone import thompson
 from .datum import RANK_RTOL, BLDatum, _prescaled, validate
 from .errors import (CholeskyFailure, ConvergenceFailure, DimensionMismatch, InvalidArgument, StepFailure,
-                     ValidationFailed)
+                     ValidationFailed, atomic_write_text, check_nonnegative, check_positive)
 from .matcore import SpdMatrix, _end_norm, cholesky, log_det, sym_eig, sym_op_norm
 from .objective import bl_constant_from_F, pre_inversion_sum
 

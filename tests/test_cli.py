@@ -219,6 +219,22 @@ class TestSolve:
         err = assert_error_exit(capsys, "solve", young_path, "--x0", x0)
         assert err == "blfix: error: iteration 1: overflow encountered in matmul\n"
 
+    def test_x0_past_the_double_range_ends_with_a_documented_exit(self, capsys, young_path, tmp_path):
+        # cond(x0) = 1.5e608: g and gmu flag the feasible datum at iteration 1
+        # (ROADMAP defect 5(g)); gtilde's rescale sends the small eigenvalue to
+        # about 1e-608, so a Gram matrix underflows and its factor fails
+        x0 = str(tmp_path / "x0.json")
+        save_matrix(SpdMatrix(np.diag([1.5e308, 1e-300])), x0)
+        for trace in ([], ["--trace", str(tmp_path / "t.csv")]):
+            for solver in ("g", "gmu"):
+                code = main(["solve", young_path, "--solver", solver, "--x0", x0, *trace])
+                captured = capsys.readouterr()
+                result = json.loads(captured.out)["result"]
+                assert (code, result["status"], result["iterations"]) == (3, "InfeasibilitySuspected", 1)
+                assert captured.err == ""
+            err = assert_error_exit(capsys, "solve", young_path, "--solver", "gtilde", "--x0", x0, *trace)
+            assert err == "blfix: error: iteration 1: matrix is not positive definite\n"
+
     @pytest.mark.parametrize("solver", ["g", "rgd"])
     def test_eigensolver_failure_exits_1(self, capsys, monkeypatch, young_path, solver):
         monkeypatch.setattr(blfix.matcore, "dsyevd", dsyevd_failing_on(3))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import blfix._util
 import blfix.datum
+import blfix.errors
 from blfix.datum import (
     BLDatum,
     critical_c,
@@ -367,7 +367,7 @@ class TestPersistence:
         def refuse(src, dst):
             raise OSError("rename refused")
 
-        monkeypatch.setattr(blfix._util.os, "replace", refuse)
+        monkeypatch.setattr(blfix.errors.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             save_datum(gen_young(), str(tmp_path / "young.json"))
         assert list(tmp_path.iterdir()) == []

@@ -35,8 +35,11 @@ The battery, from the identity start:
   and `metric thompson` and `metric hilbert` on two random 8x8 matrices;
 - `solve` on Young from three `--x0` starts: [[2, 0.5], [0.5, 1]] with `g`,
   `gmu` and `gtilde`, diag(1e7, 1e-7) with `g`, which flags the feasible datum
-  at iteration 1 (exit 3), and diag(1.5e308, 5e307), whose images' traces
-  overflow a double, with `g`, `gmu` and `gtilde`;
+  at iteration 1 (exit 3), diag(1.5e308, 5e307), whose images' traces
+  overflow a double, with `g`, `gmu` and `gtilde`, and diag(1.5e308, 1e-300),
+  whose condition number passes the double range, with `g`, `gmu` and `gtilde`
+  (`g` and `gmu` flag it at iteration 1, exit 3; `gtilde`'s rescale underflows
+  a Gram matrix, exit 1);
 - `check` on five infeasible data, so the witnesses it prints are digested:
   the crafted datum, plain and turned by 0.3 rad (L_j R), and the block data
   block_datum(6, 3, 4, seed=0), plain and in random coordinates (U_j L_j A,
@@ -230,12 +233,13 @@ def cli_battery() -> dict:
             blfix.save_matrix(blfix.SpdMatrix([[2.0, 0.5], [0.5, 1.0]]), "x0.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1e7, 1e-7])), "x0-wild.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1.5e308, 5e307])), "x0-top.json")
+            blfix.save_matrix(blfix.SpdMatrix(np.diag([1.5e308, 1e-300])), "x0-extreme.json")
             commands = [["metric", which, "x.json", "y.json"] for which in ("thompson", "hilbert")]
             commands += [["solve", "young.json", "--solver", solver, "--x0", "x0.json"]
                          for solver in ("g", "gmu", "gtilde")]
             commands.append(["solve", "young.json", "--solver", "g", "--x0", "x0-wild.json"])
-            commands += [["solve", "young.json", "--solver", solver, "--x0", "x0-top.json"]
-                         for solver in ("g", "gmu", "gtilde")]
+            commands += [["solve", "young.json", "--solver", solver, "--x0", x0]
+                         for x0 in ("x0-top.json", "x0-extreme.json") for solver in ("g", "gmu", "gtilde")]
             for datum in ("young.json", "random.json"):
                 commands.append(["check", datum])
                 for solver in CLI_SOLVERS:
