@@ -77,15 +77,14 @@ def solve_rgd(datum: BLDatum, config: RgdConfig) -> tuple[SolveResult, IterTrace
 
     g = None  # the checked iterate's S - I, which its step reuses
 
-    def check(k, x, wanted):
+    def check(k, x):
         nonlocal g
-        lo, hi = x.spectrum() if wanted else (math.nan, math.nan)
         g = x.s - x.eye
         rnorm = math.sqrt(np.vdot(g, g))  # |S - I|_F, as np.linalg.norm computes it
-        return x.value, rnorm, lo, hi, CONVERGED if rnorm <= config.tol_grad else None
+        return 0.0, rnorm, None, CONVERGED if rnorm <= config.tol_grad else None
 
     def step(x):
         return x.descend(STEP_SIZE, g)
 
     return _drive(datum, SpdMatrix.identity(datum.d), IterTrace("grad_norm"), step, check,
-                  config.max_iter, config.trace == "full")
+                  config.max_iter, config.trace)

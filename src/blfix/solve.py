@@ -124,8 +124,8 @@ class IterTrace:
 
     The config's `trace` level: "full" fills every cell. "summary" leaves nan
     in min_eig and max_eig except on the rows whose spectrum the run computed
-    (row 0, and where a stop or mu decision needed it), and in the
-    fixed-point maps' grad_norm; both levels run the same iterates.
+    (row 0, and where a stop or mu decision needed it), and in the fixed-point
+    maps' grad_norm. The checks never see it, so both levels end alike.
     """
 
     HEADER = TraceRow._fields  # the CSV columns
@@ -360,24 +360,24 @@ def find_witness(datum: BLDatum) -> Witness | None:
 
 
 def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
-           max_iter: int, full: bool) -> tuple[SolveResult, IterTrace]:
+           max_iter: int, level: str) -> tuple[SolveResult, IterTrace]:
     """The solver loop: gate the datum, then evaluate each iterate from x0
     once, check it, record it, step.
 
-    The gate raises ValidationFailed, naming every hard check, unless the
-    datum passes them all. `step(x)` moves x to the next iterate, not yet
-    evaluated, which carries the length of the step that reached it.
-    `check(k, x, wanted)`, given the evaluated iterate k, returns the trace
-    row's F_mu, grad_norm, min_eig and max_eig, the last two nan unless it
-    computed X's spectrum, which `wanted` (iterate 0, and every row where
-    `full`) asks for, plus a stop status, or None to go on; after max_iter
-    steps the run ends as MaxIter. The one evaluation of an iterate feeds its
-    check, its row, the step from it and, for the last iterate, the result,
-    whose residual is the row's `trace.residual` column and whose grad_norm is
-    taken there. After the gate numpy raises on overflow and on invalid
-    operations. For every solver a failed Cholesky or eigensolve ends the run as
-    a CholeskyFailure or ConvergenceFailure and an overflow as a StepFailure, with
-    the iteration index, in the loop or in building the result from the last one.
+    The gate raises ValidationFailed, naming every hard check, unless the datum
+    passes them all. `step(x)` moves x to the next iterate, not yet evaluated,
+    which carries the length of the step that reached it. `check(k, x)` decides
+    on the evaluated iterate k, blind to the trace `level`, and returns the
+    row's mu, its own grad_norm and X's (lo, hi), None where not computed, and
+    a stop status, or None to go on; after max_iter steps the run ends as
+    MaxIter. The loop fills X's spectrum on row 0 and every "full" row, a
+    "full" row's grad_norm (plus mu I; inf past the doubles) and each F_mu.
+    The one evaluation of an iterate feeds its check, its row, the step from it
+    and, for the last iterate, the result, whose residual is the row's
+    `trace.residual` column. After the gate numpy raises on overflow and on
+    invalid operations. A failed Cholesky or eigensolve ends the run as a
+    CholeskyFailure or ConvergenceFailure and an overflow as a StepFailure,
+    with the iteration index, in the loop or in building the result.
     """
     report = validate(datum)
     if not report.accepted:
@@ -387,7 +387,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
             f"(residual {report.scaling_residual:g}), weight_range_ok={report.weight_range_ok}"
         )
     with np.errstate(over="raise", invalid="raise"):
-        x = _Whitened(datum, x0)
+        x, full = _Whitened(datum, x0), level == "full"
         append, clock = trace.rows.append, time.perf_counter_ns
         t0 = clock()
         try:
@@ -395,8 +395,16 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 if k:
                     x = step(x)
                 x.evaluate()
-                f_mu, grad_norm, lo, hi, status = check(k, x, full or not k)
-                append(TraceRow(k, x.value, f_mu, grad_norm, x.step_len, lo, hi, clock() - t0))
+                mu, norm, spectrum, status = check(k, x)
+                lo, hi = spectrum or (x.spectrum() if full or not k else (math.nan, math.nan))
+                if norm is None and full:
+                    try:  # past the doubles it reads inf: only the result's gradient ends a run
+                        norm = _end_norm(sym_eig(x.gradient + mu * x.eye if mu else x.gradient, vectors=False))
+                    except FloatingPointError:
+                        norm = math.inf
+                f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
+                append(TraceRow(k, x.value, f_mu, math.nan if norm is None else norm, x.step_len, lo, hi,
+                                clock() - t0))
                 if status is not None:
                     break
             status = status or MAX_ITER
@@ -430,40 +438,37 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
 
     The check carries bounds on log eig(X): a step of exact Thompson length D
     moves each log eig by at most D, so each iterate widens them by step_len +
-    SPECTRUM_PAD. It computes the spectrum where the loop wants it and where
-    they cannot prove hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2
-    (a computed lo's roundoff grows with hi/lo), rebases them on it, and only
-    then sets mu: on iterate 0, from that spectrum.
+    SPECTRUM_PAD. At both trace levels it computes the spectrum on iterate 0
+    and where they cannot prove hi <= 2 r_base (adaptive mu) and hi/lo <=
+    BLOWUP_COND / 2 (a computed lo's roundoff grows with hi/lo), rebases them
+    on it, and only there decides on mu and blowup; the loop fills the rest.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
-    trace, full = IterTrace(), config.trace == "full"
+    trace = IterTrace()
     mu = r_base = log_lo = log_hi = 0.0  # iterate 0's spectrum sets the bounds
     adaptive = config.solver == "regularized" and config.mu_override is None
 
-    def check(k, x, wanted):
+    def check(k, x):
         nonlocal mu, r_base, log_lo, log_hi
-        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, whose wanted spectrum rebases the bounds
-        log_lo, log_hi, lo, hi = log_lo - pad, log_hi + pad, math.nan, math.nan
-        if wanted or log_hi > math.log(2.0 * r_base if adaptive else math.inf) or log_hi - log_lo > LOG_HALF_BLOWUP:
+        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, whose spectrum sets the bounds
+        log_lo, log_hi, row = log_lo - pad, log_hi + pad, (mu, None, None)
+        if not k or log_hi > math.log(2.0 * r_base if adaptive else math.inf) or log_hi - log_lo > LOG_HALF_BLOWUP:
             lo, hi = x.spectrum()
             log_lo, log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
-        if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
-            r_base = max(1.0, hi)
-            mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
-            trace.mu_events.append((0, mu))
-        f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
-        grad_norm = math.nan
-        if full:
-            grad_norm = _end_norm(sym_eig(x.gradient if mu == 0.0 else x.gradient + mu * x.eye, vectors=False))
-        if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
-            r_base = hi
-            mu = choose_mu(config.epsilon, r_base, datum.d)
-            trace.mu_events.append((k, mu))
-        if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
-            return f_mu, grad_norm, lo, hi, INFEASIBILITY_SUSPECTED
-        return f_mu, grad_norm, lo, hi, CONVERGED if x.step_len <= config.tol else None
+            if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
+                r_base = max(1.0, hi)
+                mu = choose_mu(config.epsilon, r_base, datum.d) if adaptive else config.mu_override
+                trace.mu_events.append((0, mu))
+            row = mu, None, (lo, hi)  # the row's F_mu and grad_norm read mu from before a restart
+            if adaptive and hi > 2.0 * r_base:  # restart the contraction budget
+                r_base = hi
+                mu = choose_mu(config.epsilon, r_base, datum.d)
+                trace.mu_events.append((k, mu))
+            if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
+                return *row, INFEASIBILITY_SUSPECTED
+        return *row, CONVERGED if x.step_len <= config.tol else None
 
     def step(x):
         return x.advance(config.solver, mu)
 
-    return _drive(datum, x0, trace, step, check, config.max_iter, full)
+    return _drive(datum, x0, trace, step, check, config.max_iter, config.trace)

@@ -235,6 +235,22 @@ class TestSolve:
             err = assert_error_exit(capsys, "solve", young_path, "--solver", "gtilde", "--x0", x0, *trace)
             assert err == "blfix: error: iteration 1: matrix is not positive definite\n"
 
+    @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde"])
+    @pytest.mark.parametrize("start, codes", [
+        ([1.79e308, 1.79e308], {"g": 1, "gmu": 1, "gtilde": 0}),  # g's X_star and gmu's T^T T overflow
+        ([4e-308, 1e-320], {"g": 1, "gmu": 1, "gtilde": 3}),  # T^-1 ~ 1e160: row 0's gradient overflows
+    ], ids=["huge", "subnormal"])
+    def test_trace_never_changes_how_an_extreme_start_ends(self, capsys, young_path, tmp_path, solver, start, codes):
+        x0 = str(tmp_path / "x0.json")
+        save_matrix(SpdMatrix(np.diag(start)), x0)
+        endings = []
+        for trace in ([], ["--trace", str(tmp_path / "t.csv")]):
+            code = main(["solve", young_path, "--solver", solver, "--x0", x0, *trace])
+            captured = capsys.readouterr()
+            result = json.loads(captured.out)["result"] if code != 1 else None
+            endings.append((code, captured.err, result and (result["status"], result["iterations"])))
+        assert endings[0] == endings[1] and endings[0][0] == codes[solver]
+
     @pytest.mark.parametrize("solver", ["g", "rgd"])
     def test_eigensolver_failure_exits_1(self, capsys, monkeypatch, young_path, solver):
         monkeypatch.setattr(blfix.matcore, "dsyevd", dsyevd_failing_on(3))

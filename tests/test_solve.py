@@ -525,15 +525,20 @@ class TestSolveConfig:
         assert abs(res.bl_constant - ref.bl_constant) <= 1e-9 * ref.bl_constant
 
 
-def _run_at(level: str, datum: BLDatum, solver: str):
+def _run_at(level: str, datum: BLDatum, solver: str, x0: SpdMatrix | None = None):
     if solver == "rgd":
         return solve_rgd(datum, RgdConfig(trace=level))
-    return solve_fixed_point(datum, SolveConfig(solver=solver, trace=level))
+    return solve_fixed_point(datum, SolveConfig(solver=solver, x0=x0, trace=level))
 
 
 NAMED_DATA = {"young": gen_young, "holder": lambda: gen_holder(2, 1), "crafted": crafted_infeasible_datum,
               "common-kernel": common_kernel_datum}
-ENDINGS = [(c, s) for c in (*range(len(FEASIBLE_SHAPES)), *NAMED_DATA) for s in SOLVERS + ("rgd",)]
+# diagonals of x0: X's spectrum at the top of the doubles, and a T^-1 of about
+# 1e160, whose row-0 gradient T^-T (S - I) T^-1 overflows
+EXTREME_STARTS = {"huge": [1.79e308, 1.79e308], "subnormal": [4e-308, 1e-320]}
+ENDINGS = ([pytest.param(c, s, None, id=f"{c}-{s}")
+            for c in (*range(len(FEASIBLE_SHAPES)), *NAMED_DATA) for s in SOLVERS + ("rgd",)]
+           + [pytest.param("young", s, x0, id=f"young-{s}-x0={x0}") for x0 in EXTREME_STARTS for s in SOLVERS])
 
 
 class TestTraceLevels:
@@ -576,18 +581,29 @@ class TestTraceLevels:
         assert not np.isnan(trace.rows[0].min_eig)
 
     @staticmethod
-    def ending(level: str, datum: BLDatum, solver: str) -> tuple:
+    def ending(level: str, datum: BLDatum, solver: str, x0: SpdMatrix | None = None) -> tuple:
         """(status, iterations), or (error type, the iteration its message names)."""
         try:
-            res, _ = _run_at(level, datum, solver)
+            res, _ = _run_at(level, datum, solver, x0)
         except BlfixError as exc:
             return type(exc).__name__, int(re.match(r"iteration (\d+): ", str(exc))[1])
         return res.status, res.iterations
 
-    @pytest.mark.parametrize("case, solver", ENDINGS)
-    def test_level_never_changes_how_a_run_ends(self, case, solver):
+    @pytest.mark.parametrize("case, solver, start", ENDINGS)
+    def test_level_never_changes_how_a_run_ends(self, case, solver, start):
+        # no check sees the level, so the extreme starts take one decision path
+        # too, where a full row's overflowing gradient norm reads inf
         datum = self.datum(case)
-        assert self.ending("summary", datum, solver) == self.ending("full", datum, solver)
+        x0 = SpdMatrix(np.diag(EXTREME_STARTS[start])) if start else None
+        assert self.ending("summary", datum, solver, x0) == self.ending("full", datum, solver, x0)
+
+    def test_full_row_gradient_past_the_doubles_reads_inf(self):
+        # only the result's gradient ends a run: here row 0's overflows and the
+        # run goes on to flag iterate 1, as at the summary level
+        x0 = SpdMatrix(np.diag(EXTREME_STARTS["subnormal"]))
+        res, trace = _run_at("full", gen_young(), "normalized", x0)
+        assert (res.status, res.iterations) == (INFEASIBILITY_SUSPECTED, 1)
+        assert trace.rows[0].grad_norm == math.inf and math.isfinite(trace.rows[1].grad_norm)
 
     FINITE_CASES = [(c, s) for c in (*range(len(FEASIBLE_SHAPES)), "young", "crafted", "common-kernel")
                     for s in SOLVERS + ("rgd",)]

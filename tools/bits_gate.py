@@ -40,6 +40,11 @@ The battery, from the identity start:
   whose condition number passes the double range, with `g`, `gmu` and `gtilde`
   (`g` and `gmu` flag it at iteration 1, exit 3; `gtilde`'s rescale underflows
   a Gram matrix, exit 1);
+- `solve` on Young with `g`, `gmu` and `gtilde`, without and with `--trace`,
+  from 1.79e308 I, at the top of the double range (`g`'s result `T T^T` and
+  `gmu`'s `T^T T` overflow, exit 1), and from diag(4e-308, 1e-320), whose
+  `T^-1` is about 1e160, so a `full` row 0's gradient overflows: the trace
+  level must not change how a run ends;
 - `check` on five infeasible data, so the witnesses it prints are digested:
   the crafted datum, plain and turned by 0.3 rad (L_j R), and the block data
   block_datum(6, 3, 4, seed=0), plain and in random coordinates (U_j L_j A,
@@ -234,12 +239,17 @@ def cli_battery() -> dict:
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1e7, 1e-7])), "x0-wild.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1.5e308, 5e307])), "x0-top.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1.5e308, 1e-300])), "x0-extreme.json")
+            blfix.save_matrix(blfix.SpdMatrix(np.diag([1.79e308, 1.79e308])), "x0-huge.json")
+            blfix.save_matrix(blfix.SpdMatrix(np.diag([4e-308, 1e-320])), "x0-subnormal.json")
             commands = [["metric", which, "x.json", "y.json"] for which in ("thompson", "hilbert")]
             commands += [["solve", "young.json", "--solver", solver, "--x0", "x0.json"]
                          for solver in ("g", "gmu", "gtilde")]
             commands.append(["solve", "young.json", "--solver", "g", "--x0", "x0-wild.json"])
             commands += [["solve", "young.json", "--solver", solver, "--x0", x0]
                          for x0 in ("x0-top.json", "x0-extreme.json") for solver in ("g", "gmu", "gtilde")]
+            commands += [["solve", "young.json", "--solver", solver, "--x0", x0, *trace]
+                         for x0 in ("x0-huge.json", "x0-subnormal.json") for solver in ("g", "gmu", "gtilde")
+                         for trace in ([], ["--trace", "out/trace.csv"])]
             for datum in ("young.json", "random.json"):
                 commands.append(["check", datum])
                 for solver in CLI_SOLVERS:
