@@ -14,6 +14,7 @@ wall-time and time_ns fields.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -88,12 +89,26 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
     return result, trace, echo, time.perf_counter() - t0
 
 
+def _check_trace_path(path: str) -> None:
+    """Raise now the io error that writing the trace to path would raise after the solve."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def cmd_solve(args) -> int:
     given = {"--x0": args.x0 != "identity", "--eps": args.eps is not None, "--mu": args.mu is not None}
     for flag in _IGNORED_FLAGS.get(args.solver, ()):
         if given[flag]:
             raise InvalidArgument(f"{flag} does not apply to --solver {args.solver}")
     datum = load_datum(args.datum)
+    if args.trace:
+        _check_trace_path(args.trace)
     result, trace, echo, wall = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
     if args.trace:
         trace.write_csv(args.trace)

@@ -67,17 +67,20 @@ def check_nonnegative(name: str, value: float) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory plus rename.
 
-    A failure mid-write never leaves a partial file at the destination.
+    A failure mid-write never leaves a partial file at the destination. An
+    OSError that names a file is raised again naming path, not the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    directory, tmp = os.path.dirname(os.path.abspath(path)), ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -91,8 +94,8 @@ def read_json(path: str, convert):
     Malformed input raises ParseError naming the file: text that is not
     UTF-8, bad or too deeply nested JSON, NaN or Infinity, a boolean anywhere
     (no field is one, and numpy would read true as 1.0), and entries that
-    convert cannot use (a ValueError or TypeError inside it, such as a
-    non-numeric entry or a ragged row).
+    convert cannot use (a ValueError, TypeError or OverflowError inside it,
+    such as a non-numeric entry, a ragged row or an integer beyond the doubles).
     """
     try:
         with open(path) as fh:
@@ -112,5 +115,5 @@ def read_json(path: str, convert):
             todo.extend(item.values())
     try:
         return convert(obj)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

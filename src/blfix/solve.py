@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
@@ -170,9 +169,8 @@ class _Whitened:
         self.offset = 2.0 * math.log(2.0) * datum.dprime * float(np.dot(datum.weights, exps))
         self.blocks = None  # the per-map route
         if datum.dprime < PER_MAP_SOLVE_DPRIME:
-            dp, self.blocks = datum.dprime, np.zeros((len(self.maps),) * 2, order="F")
-            row, col = self.blocks.strides  # diag_blocks[j] is blocks[j*dp:(j+1)*dp, j*dp:(j+1)*dp]
-            self.diag_blocks = as_strided(self.blocks, (datum.m, dp, dp), (dp * (row + col), row, col))
+            self.blocks = np.zeros((len(self.maps),) * 2, order="F")  # diag_blocks[j]: the j-th d'-by-d' block
+            self.diag_blocks = np.einsum("aibi->iab", self.blocks.reshape(self.shape[1::-1] * 2, order="F"))
         self.eye = np.eye(x.n)  # the run's one identity: S - I, and mu I in a full trace's grad_norm
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, self.eye, lower=1)
         self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
@@ -182,10 +180,9 @@ class _Whitened:
         m = np.dot(self.maps, self.t)  # np.dot: one BLAS call without matmul's gufunc overhead
         stacked = m.reshape(self.shape)
         c = cholesky(stacked @ stacked.transpose(0, 2, 1))
-        if self.blocks is None:  # W_j^T C_j^T = M_j^T, in place: each slab of m.T is an F-ordered view
-            mt, dp = m.T, self.shape[1]
-            for j, cj in enumerate(c):
-                dtrsm(1.0, cj.T, mt[:, j * dp:(j + 1) * dp], side=1, lower=0, overwrite_b=1)
+        if self.blocks is None:  # W_j^T C_j^T = M_j^T, in place: each M_j^T is an F-ordered view into m
+            for cj, mj in zip(c, stacked):
+                dtrsm(1.0, cj.T, mj.T, side=1, lower=0, overwrite_b=1)
             diag = c.diagonal(0, 1, 2).ravel()
         else:
             self.diag_blocks[...] = c

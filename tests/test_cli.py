@@ -23,7 +23,7 @@ from blfix.datum import (
     load_datum,
     save_datum,
 )
-from blfix.errors import TooLarge
+from blfix.errors import TooLarge, atomic_write_text
 from blfix.matcore import SpdMatrix, save_matrix
 
 from conftest import dsyevd_failing_on
@@ -66,6 +66,11 @@ REJECTED_DATA = {
                    "bad.json: non-finite number 'NaN' is not allowed"),
     "minus-infinity-entry": (_young_with(maps=[[[-math.inf, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]]),
                              "bad.json: non-finite number '-Infinity' is not allowed"),
+    # json.dumps writes these as 401-digit integer literals, which no double holds
+    "huge-int-weight": (_young_with(weights=[10 ** 400, 2.0 / 3.0, 2.0 / 3.0]),
+                        "bad.json: int too large to convert to float"),
+    "huge-int-map-entry": (_young_with(maps=[[[10 ** 400, 0.0]], [[0.0, 1.0]], [[1.0, -1.0]]]),
+                           "bad.json: int too large to convert to float"),
 }
 REJECTED_MATRICES = {
     "no-n": ('{"data": [[1.0]]}', 'must have fields "n" and "data"'),
@@ -76,6 +81,7 @@ REJECTED_MATRICES = {
     "nan-entry": ('{"n": 1, "data": [[NaN]]}', "bad.json: non-finite number 'NaN' is not allowed"),
     "minus-infinity-entry": ('{"n": 1, "data": [[-Infinity]]}',
                              "bad.json: non-finite number '-Infinity' is not allowed"),
+    "huge-int-entry": (f'{{"n": 1, "data": [[{10 ** 400}]]}}', "bad.json: int too large to convert to float"),
 }
 
 
@@ -132,6 +138,13 @@ class TestGen:
         run_cli(capsys, "gen", "random", "--d", "4", "--dprime", "2", "--m", "4",
                 "--seed", "7", "--out", b)
         assert open(a).read() == open(b).read()
+
+    def test_unwritable_out_names_the_destination(self, capsys, tmp_path):
+        # the writer's temp file has a fresh random name on every run; the error names --out
+        out = str(tmp_path / "missing" / "y.json")
+        first, second = [(main(["gen", "young", "--out", out]), capsys.readouterr()) for _ in range(2)]
+        assert first == second and first[0] == 1 and first[1].out == ""
+        assert first[1].err == f"blfix: io error: [Errno 2] No such file or directory: {out!r}\n"
 
     def test_parser_built_once_keeps_no_state_between_calls(self, capsys, tmp_path, young_path):
         assert blfix.cli._build_parser() is blfix.cli._build_parser()
@@ -264,6 +277,20 @@ class TestSolve:
         assert code == 0
         lines = open(trace).read().strip().split("\n")
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
+
+    @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "directory"])
+    def test_unwritable_trace_exits_1_before_the_solver(self, capsys, monkeypatch, tmp_path, young_path, trace):
+        # the error line is the one the trace's write raises, and nothing is written
+        (tmp_path / "taken").write_text("kept\n")
+        (tmp_path / "directory").mkdir()
+        trace, before = str(tmp_path / trace), sorted(tmp_path.rglob("*"))
+        with pytest.raises(OSError) as write:
+            atomic_write_text(trace, "")
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        code = main(["solve", young_path, "--solver", "g", "--trace", trace])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == f"blfix: io error: {write.value}\n"
+        assert trace in captured.err and sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde", "rgd"])
     @pytest.mark.parametrize("shape", [None, (6, 4, 5)], ids=["young", "random"])

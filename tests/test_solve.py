@@ -222,8 +222,8 @@ class TestWhitenedKernel:
 
     @pytest.mark.parametrize("i", [*range(len(FEASIBLE_SHAPES)), len(FEASIBLE_SHAPES) + 2])
     def test_block_view_holds_the_gram_factors(self, i):
-        # the block-diagonal route writes the C_j through a strided view of
-        # `blocks`; here at x, then at three iterates past it
+        # the block-diagonal route writes the C_j through an einsum view of
+        # `blocks`' diagonal blocks; here at x, then at three iterates past it
         datum, x = self.point(i)
         assert datum.dprime < PER_MAP_SOLVE_DPRIME
         frame = _Whitened(datum, x)
