@@ -93,7 +93,10 @@ def _check_trace_path(path: str) -> None:
     """Raise now the io error that writing the trace to path would raise after the solve."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        ancestor = directory  # the nearest one that exists decides: not a directory, or missing below it
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        code = errno.ENOENT if os.path.isdir(ancestor) else errno.ENOTDIR
     elif os.path.isdir(path):
         code = errno.EISDIR
     else:

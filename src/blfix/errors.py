@@ -2,10 +2,10 @@
 InvalidArgument, the JSON reader that raises ParseError, and the atomic writer
 that never leaves a partial file."""
 
+import contextlib
 import json
 import math
 import os
-import tempfile
 
 
 class BlfixError(Exception):
@@ -69,10 +69,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
     A failure mid-write never leaves a partial file at the destination. An
     OSError that names a file is raised again naming path, not the temp file.
+    The temp file is created with mode 0666 less the umask, as open() would.
     """
     directory, tmp = os.path.dirname(os.path.abspath(path)), ""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        while not tmp:  # a fresh random name; O_EXCL never takes over an existing file
+            name = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+            with contextlib.suppress(FileExistsError):
+                fd, tmp = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

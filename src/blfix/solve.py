@@ -49,6 +49,7 @@ SOLVERS = ("plain_g", "regularized", "normalized")
 BLOWUP_COND = 1e12  # an iterate conditioned worse than this suggests infeasibility
 LOG_HALF_BLOWUP = math.log(0.5 * BLOWUP_COND)  # the fixed-point check's cap on log(hi/lo)
 SPECTRUM_PAD = 1e-9  # log-space roundoff allowance per step on an iterate's eigenvalue bounds
+_BRACKET_ULPS = 4.0 * np.finfo(float).eps  # per dimension: how far the step bracket reaches past its ends
 TRACE_LEVELS = ("summary", "full")
 PER_MAP_SOLVE_DPRIME = 10  # from this block size d' on, evaluate solves each map's system on its own (BENCH_19 sweep)
 WITNESS_STEPS = 16  # normalized steps from the identity that find_witness runs
@@ -124,7 +125,9 @@ class IterTrace:
     The config's `trace` level: "full" fills every cell. "summary" leaves nan
     in min_eig and max_eig except on the rows whose spectrum the run computed
     (row 0, and where a stop or mu decision needed it), and in the fixed-point
-    maps' grad_norm. The checks never see it, so both levels end alike.
+    maps' grad_norm, whose thompson_step is exact on the last row and where the
+    check read it, elsewhere an upper bound (_Whitened.step_bounds). The checks
+    never see the level, so both levels end alike.
     """
 
     HEADER = TraceRow._fields  # the CSV columns
@@ -155,7 +158,9 @@ class _Whitened:
     orthonormal rows. The README's "Whitened coordinates" gives the two
     triangular-solve routes, split at PER_MAP_SOLVE_DPRIME, and the exact
     prescaling of the maps, whose shift of F is `offset`. `step_len` is the
-    Thompson length of the step that reached the iterate.
+    Thompson length of the step that reached the iterate, computed when read;
+    `step_bounds()` brackets it with no eigensolve, and its upper end suffices
+    to widen the spectrum bounds.
     """
 
     def __init__(self, datum: BLDatum, x: SpdMatrix):
@@ -171,9 +176,9 @@ class _Whitened:
         if datum.dprime < PER_MAP_SOLVE_DPRIME:
             self.blocks = np.zeros((len(self.maps),) * 2, order="F")  # diag_blocks[j]: the j-th d'-by-d' block
             self.diag_blocks = np.einsum("aibi->iab", self.blocks.reshape(self.shape[1::-1] * 2, order="F"))
-        self.eye = np.eye(x.n)  # the run's one identity: S - I, and mu I in a full trace's grad_norm
+        self.eye = np.eye(x.n)  # the run's one identity: S - I, the step bracket and a full row's mu I
         self.t, self.t_inv = x.chol, dtrsm(1.0, x.chol, self.eye, lower=1)
-        self.log_det_t, self.step_len = 0.5 * log_det(x), math.nan
+        self.log_det_t, self._step, self._bounds = 0.5 * log_det(x), None, (math.nan, math.nan)
 
     def evaluate(self) -> "_Whitened":
         """Set value (F) and s (S)."""
@@ -213,6 +218,32 @@ class _Whitened:
                 lo, hi = 0.0, math.inf
         return lo, hi
 
+    @property
+    def step_len(self) -> float:
+        """The exact Thompson length of the step that reached the iterate, computed on first access."""
+        if self._step is not None:
+            s, shift = self._step
+            lam = sym_eig(s, vectors=False)
+            length = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
+            self._step, self._bounds = None, (length, length)
+        return self._bounds[1]
+
+    def step_bounds(self) -> tuple[float, float]:
+        """(lo, hi) around step_len: where delta = |e^shift S - I|_F < 1, log1p(delta / sqrt(d)) and
+        -log1p(-delta), each widened against roundoff; elsewhere, and once step_len is known, step_len."""
+        if self._bounds is None:
+            s, shift = self._step
+            delta = math.inf
+            if abs(shift) <= 1.0:  # past that math.exp can overflow; the eigensolve decides there
+                e = s - (math.exp(-shift) * self.eye if shift else self.eye)
+                delta = math.exp(shift) * math.sqrt(np.vdot(e, e))  # BLAS raises no flag: an overflow reads inf
+            if delta >= 1.0:
+                return (self.step_len,) * 2
+            lo, hi = math.log1p(delta / math.sqrt(len(s))), -math.log1p(-delta)
+            pad = _BRACKET_ULPS * len(s) * (1.0 + hi)
+            self._bounds = lo - pad, hi + pad
+        return self._bounds
+
     def advance(self, solver: str, mu: float = 0.0) -> "_Whitened":
         """Move this evaluated iterate, in place, to its image under the solver's map.
 
@@ -220,13 +251,12 @@ class _Whitened:
         factored as R R^T by LAPACK's dpotrf, the next T is T R^{-T}. The
         Thompson metric is congruence invariant, so the step's length is
         max |log eig| of the matrix, shifted by the log of the trace that G~
-        divides by.
+        divides by; the iterate keeps the two for step_len and step_bounds.
         """
         s = self.s + mu * (self.t.T @ self.t) if solver == "regularized" else self.s
         r, info = dpotrf(s, lower=1)
         if info:
             raise CholeskyFailure("matrix is not positive definite")
-        lam = sym_eig(s, vectors=False)
         self.t, self.t_inv = dtrsm(1.0, r, self.t.T, lower=1).T, np.dot(r.T, self.t_inv)
         self.log_det_t, shift = self.log_det_t - float(np.add.reduce(np.log(r.diagonal()))), 0.0
         if solver == "normalized":
@@ -236,7 +266,7 @@ class _Whitened:
                 shift = math.log(np.vdot(self.t / top, self.t / top)) + 2.0 * math.log(top)
             self.t, self.t_inv = self.t * math.exp(-0.5 * shift), self.t_inv * math.exp(0.5 * shift)
             self.log_det_t -= 0.5 * len(s) * shift
-        self.step_len = max(math.log(lam[-1]) + shift, -math.log(lam[0]) - shift) if lam[0] > 0 else math.inf
+        self._step, self._bounds = (s, shift), None
         return self
 
     def descend(self, eta: float, g: np.ndarray) -> "_Whitened":
@@ -248,7 +278,7 @@ class _Whitened:
         half = np.exp(-0.5 * eta * lam)
         self.t, self.t_inv = np.dot(self.t, vecs) * half, np.dot((vecs / half).T, self.t_inv)
         self.log_det_t -= 0.5 * eta * float(np.add.reduce(lam))
-        self.step_len = eta * _end_norm(lam)
+        self._step, self._bounds = None, (eta * _end_norm(lam),) * 2
         return self
 
 
@@ -363,7 +393,9 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
 
     The gate raises ValidationFailed, naming every hard check, unless the datum
     passes them all. `step(x)` moves x to the next iterate, not yet evaluated,
-    which carries the length of the step that reached it. `check(k, x)` decides
+    which carries the length of the step that reached it: a row records it
+    exactly where the row is "full" or last, else the top of its bracket,
+    which is exact where the check read step_len. `check(k, x)` decides
     on the evaluated iterate k, blind to the trace `level`, and returns the
     row's mu, its own grad_norm and X's (lo, hi), None where not computed, and
     a stop status, or None to go on; after max_iter steps the run ends as
@@ -392,7 +424,10 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 if k:
                     x = step(x)
                 x.evaluate()
+                length = x.step_len if full else None  # cached before the check, which then brackets nothing
                 mu, norm, spectrum, status = check(k, x)
+                if length is None:  # exact on the last row, the result's residual
+                    length = x.step_len if status is not None or k == max_iter else x.step_bounds()[1]
                 lo, hi = spectrum or (x.spectrum() if full or not k else (math.nan, math.nan))
                 if norm is None and full:
                     try:  # past the doubles it reads inf: only the result's gradient ends a run
@@ -400,7 +435,7 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                     except FloatingPointError:
                         norm = math.inf
                 f_mu = x.value + mu * float(np.vdot(x.t, x.t)) if mu else x.value  # trace(X) = |t|_F^2
-                append(TraceRow(k, x.value, f_mu, math.nan if norm is None else norm, x.step_len, lo, hi,
+                append(TraceRow(k, x.value, f_mu, math.nan if norm is None else norm, length, lo, hi,
                                 clock() - t0))
                 if status is not None:
                     break
@@ -433,23 +468,36 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
     ends as MaxIter, whatever its step lengths did. Numeric failures carry the
     iteration index.
 
-    The check carries bounds on log eig(X): a step of exact Thompson length D
-    moves each log eig by at most D, so each iterate widens them by step_len +
-    SPECTRUM_PAD. At both trace levels it computes the spectrum on iterate 0
-    and where they cannot prove hi <= 2 r_base (adaptive mu) and hi/lo <=
-    BLOWUP_COND / 2 (a computed lo's roundoff grows with hi/lo), rebases them
-    on it, and only there decides on mu and blowup; the loop fills the rest.
+    The check carries bounds on log eig(X): a step of Thompson length D moves
+    each log eig by at most D, so an upper bound on D suffices, and each
+    iterate widens them by the top of x.step_bounds() + SPECTRUM_PAD. At both
+    trace levels it computes the spectrum on iterate 0 and where they cannot
+    prove hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2 (a
+    computed lo's roundoff grows with hi/lo), rebases them on it, and only
+    there decides on mu and blowup; the loop fills the rest. It reads the
+    exact step_len, and widens by it, only where the bracket's two ends differ
+    on the stop or on that proof.
     """
     x0 = config.x0 if config.x0 is not None else SpdMatrix.identity(datum.d)
     trace = IterTrace()
     mu = r_base = log_lo = log_hi = 0.0  # iterate 0's spectrum sets the bounds
     adaptive = config.solver == "regularized" and config.mu_override is None
 
+    def proven(length):  # after a step of this length the bounds still rule out every spectrum decision:
+        pad = length + SPECTRUM_PAD  # hi <= 2 r_base (adaptive mu) and hi/lo <= BLOWUP_COND / 2
+        return (log_hi + pad <= math.log(2.0 * r_base if adaptive else math.inf)
+                and log_hi - log_lo + 2.0 * pad <= LOG_HALF_BLOWUP)
+
     def check(k, x):
         nonlocal mu, r_base, log_lo, log_hi
-        pad = x.step_len + SPECTRUM_PAD  # nan at iterate 0, whose spectrum sets the bounds
+        short, long = x.step_bounds()  # nan at iterate 0, whose spectrum sets the bounds
+        known = k and proven(long)
+        if short <= config.tol < long or k and not known and proven(short):  # the bracket's ends decide apart
+            long = x.step_len
+            known = proven(long)
+        pad = long + SPECTRUM_PAD
         log_lo, log_hi, row = log_lo - pad, log_hi + pad, (mu, None, None)
-        if not k or log_hi > math.log(2.0 * r_base if adaptive else math.inf) or log_hi - log_lo > LOG_HALF_BLOWUP:
+        if not known:
             lo, hi = x.spectrum()
             log_lo, log_hi = (math.log(lo), math.log(hi)) if lo > 0.0 else (-math.inf, math.inf)
             if k == 0 and config.solver == "regularized":  # mu from x0, once the datum passed the gate
@@ -463,7 +511,7 @@ def solve_fixed_point(datum: BLDatum, config: SolveConfig) -> tuple[SolveResult,
                 trace.mu_events.append((k, mu))
             if k and (lo <= 0.0 or hi / lo > BLOWUP_COND):  # x0 itself is never flagged
                 return *row, INFEASIBILITY_SUSPECTED
-        return *row, CONVERGED if x.step_len <= config.tol else None
+        return *row, CONVERGED if long <= config.tol else None
 
     def step(x):
         return x.advance(config.solver, mu)

@@ -174,9 +174,10 @@ def test_criterion_08_benchmark_gmu_vs_rgd():
     t0 = time.perf_counter()
     for seed in range(5):
         datum = gen_random(10, 5, 8, seed)
-        cfg = SolveConfig(solver="regularized", tol=1e-8, epsilon=1e-9, max_iter=20000)
+        # full traces: the fit reads exact step lengths, where a summary row may hold an upper bound
+        cfg = SolveConfig(solver="regularized", tol=1e-8, epsilon=1e-9, max_iter=20000, trace="full")
         gmu, gtrace = solve_fixed_point(datum, cfg)
-        rgd, _ = solve_rgd(datum, RgdConfig(tol_grad=1e-8, max_iter=20000))
+        rgd, _ = solve_rgd(datum, RgdConfig(tol_grad=1e-8, max_iter=20000, trace="full"))
         assert gmu.converged and rgd.converged, seed
         assert gmu.iterations < rgd.iterations, (seed, gmu.iterations, rgd.iterations)
         assert abs(gmu.F_value - rgd.F_value) <= 1e-5, seed

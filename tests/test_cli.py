@@ -278,7 +278,7 @@ class TestSolve:
         lines = open(trace).read().strip().split("\n")
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
 
-    @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "directory"])
+    @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "taken/sub/t.csv", "directory"])
     def test_unwritable_trace_exits_1_before_the_solver(self, capsys, monkeypatch, tmp_path, young_path, trace):
         # the error line is the one the trace's write raises, and nothing is written
         (tmp_path / "taken").write_text("kept\n")

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -371,6 +372,16 @@ class TestPersistence:
         with pytest.raises(OSError, match="rename refused"):
             save_datum(gen_young(), str(tmp_path / "young.json"))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as for open(path, "w"): 0666 less the umask, not a temp file's 0600
+        path, before = tmp_path / "young.json", os.umask(umask)
+        try:
+            save_datum(gen_young(), str(path))
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(path.stat().st_mode) == mode and list(tmp_path.iterdir()) == [path]
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="weights"):

@@ -168,6 +168,36 @@ class TestWhitenedKernel:
             assert abs(moved.step_len - thompson(SpdMatrix(moved.t @ moved.t.T), x)) <= 1e-12
 
     @pytest.mark.parametrize("i", KERNEL_CASES)
+    def test_step_bounds_hold_the_step_length(self, i):
+        # at three iterates past x, the bracket first, as the exact length
+        # pins both its ends; some of them are genuine brackets
+        datum, x = self.point(i)
+        brackets = 0
+        for solver in SOLVERS:
+            frame = _Whitened(datum, x)
+            for _ in range(3):
+                lo, hi = frame.evaluate().advance(solver, self.MU).step_bounds()
+                assert lo <= frame.step_len <= hi, solver
+                assert frame.step_bounds() == (frame.step_len,) * 2
+                brackets += lo < hi
+        assert brackets
+
+    def test_summary_run_skips_most_step_eigensolves(self, monkeypatch):
+        eigs = TestOneEvaluationPerIterate.count(monkeypatch, "sym_eig", blfix.solve)
+        result, _ = solve_fixed_point(gen_random(30, 10, 12, 0), SolveConfig(solver="plain_g"))
+        assert result.converged and eigs[0] < result.iterations / 5
+
+    def test_map_steps_make_no_step_eigensolve(self, monkeypatch):
+        # only find_witness's one candidate basis, after its WITNESS_STEPS steps
+        datum, x = self.point(3)
+        eigs = TestOneEvaluationPerIterate.count(monkeypatch, "sym_eig", blfix.solve)
+        step_G(datum, x)
+        step_G_mu(datum, x, self.MU)
+        step_G_tilde(datum, x)
+        assert eigs[0] == 0
+        assert blfix.solve.find_witness(datum) is None and eigs[0] == 1
+
+    @pytest.mark.parametrize("i", KERNEL_CASES)
     def test_value_and_gradient_match_eval_F(self, i):
         # at x, then at three iterates whose factors are no longer triangular
         datum, x = self.point(i)
@@ -573,9 +603,13 @@ class TestTraceLevels:
             full.status, full.iterations, full.F_value, full.residual, full.grad_norm)
         assert res.X_star.a.tobytes() == full.X_star.a.tobytes()
         assert trace.mu_events == full_trace.mu_events
-        always = ["F", "F_mu", "thompson_step"] + (["grad_norm"] if solver == "rgd" else [])
+        always = ["F", "F_mu"] + (["grad_norm"] if solver == "rgd" else [])
         for name in trace.HEADER[:-1]:  # all but time_ns
             ours, theirs = np.array(trace.column(name)), np.array(full_trace.column(name))
+            if name == "thompson_step":  # a summary row may hold the top of the step's bracket; the last is exact
+                margin = blfix.solve._BRACKET_ULPS * datum.d * (1.0 + theirs[1:])
+                assert np.isnan(ours[0]) and np.all(ours[1:] >= theirs[1:] - margin) and ours[-1] == theirs[-1]
+                continue
             known = np.ones(len(ours), bool) if name in always else ~np.isnan(ours)
             assert np.array_equal(ours[known], theirs[known], equal_nan=True), name
         assert not np.isnan(trace.rows[0].min_eig)
@@ -997,10 +1031,11 @@ def check_geometric_decay(datum_ids=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), mus=(1e-2, 1
 
 
 def check_asymptotic_regularity(runs=6, seed=37):
-    """Trace steps are non-increasing and end below the tolerance."""
+    """Trace steps are non-increasing and end below the tolerance; a full
+    trace, as a summary row may hold an upper bound on its step."""
     for i in range(runs):
         datum = feasible_datum(i)
-        res, trace = solve_fixed_point(datum, SolveConfig(solver="plain_g"))
+        res, trace = solve_fixed_point(datum, SolveConfig(solver="plain_g", trace="full"))
         assert res.converged
         steps = [s for s in trace.column("thompson_step") if not math.isnan(s)]
         for a, b in zip(steps, steps[1:]):
