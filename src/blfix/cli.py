@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -60,9 +61,10 @@ def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, allow_nan=True) + "\n")
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _load_datum(path: str) -> tuple[BLDatum, dict]:
+    with open(path, "rb") as fh:  # hashed as read, before any output can replace the file
+        echo = {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    return load_datum(path), echo
 
 
 def _given(**flags) -> dict:
@@ -89,19 +91,15 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
     return result, trace, echo, time.perf_counter() - t0
 
 
-def _check_trace_path(path: str) -> None:
-    """Raise now the io error that writing the trace to path would raise after the solve."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        ancestor = directory  # the nearest one that exists decides: not a directory, or missing below it
-        while not os.path.exists(ancestor):
-            ancestor = os.path.dirname(ancestor)
-        code = errno.ENOENT if os.path.isdir(ancestor) else errno.ENOTDIR
-    elif os.path.isdir(path):
-        code = errno.EISDIR
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+def _check_output(path: str) -> str:
+    """Return path, or raise now the io error naming it that its write would raise after the solvers."""
+    try:  # the OS resolves path as the write's final rename will: through every link but the last
+        if stat.S_ISDIR(os.lstat(path).st_mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except FileNotFoundError:  # fine only for a new file in an existing directory
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise
+    return path
 
 
 def cmd_solve(args) -> int:
@@ -109,9 +107,9 @@ def cmd_solve(args) -> int:
     for flag in _IGNORED_FLAGS.get(args.solver, ()):
         if given[flag]:
             raise InvalidArgument(f"{flag} does not apply to --solver {args.solver}")
-    datum = load_datum(args.datum)
+    datum, datum_echo = _load_datum(args.datum)
     if args.trace:
-        _check_trace_path(args.trace)
+        _check_output(args.trace)
     result, trace, echo, wall = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
     if args.trace:
         trace.write_csv(args.trace)
@@ -120,7 +118,7 @@ def cmd_solve(args) -> int:
             "schema": SCHEMA,
             "command": "solve",
             "argv": args.argv_echo,
-            "datum": {"path": args.datum, "sha256": _sha256(args.datum)},
+            "datum": datum_echo,
             "config": echo,
             "result": {
                 "status": result.status,
@@ -139,7 +137,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    datum = load_datum(args.datum)
+    datum, datum_echo = _load_datum(args.datum)
     report = validate(datum)
     ok = violations = None
     if report.accepted:
@@ -155,7 +153,7 @@ def cmd_check(args) -> int:
         {
             "schema": SCHEMA,
             "command": "check",
-            "datum": {"path": args.datum, "sha256": _sha256(args.datum)},
+            "datum": datum_echo,
             "report": {**asdict(report), "subspace_heuristic_ok": ok, "sampled_violations": violations,
                        "accepted": report.accepted},
             "critical_c": c,
@@ -188,8 +186,7 @@ def cmd_metric(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.datum:
-        datum = load_datum(args.datum)
-        datum_echo = {"path": args.datum, "sha256": _sha256(args.datum)}
+        datum, datum_echo = _load_datum(args.datum)
     else:
         if args.d is None or args.dprime is None or args.m is None:
             raise BlfixError("bench needs either --datum or all of --d/--dprime/--m")
@@ -206,13 +203,15 @@ def cmd_bench(args) -> int:
     if args.mu is not None and all("--mu" in _IGNORED_FLAGS.get(name, ()) for name in names):
         raise InvalidArgument(f"--mu does not apply to --solvers {','.join(names)}")
 
-    os.makedirs(args.out_dir, exist_ok=True)  # before the solvers: a bad --out-dir fails at once
+    os.makedirs(args.out_dir, exist_ok=True)  # before the solvers: a bad output fails at once
+    csvs = {name: _check_output(os.path.join(args.out_dir, f"{name}.csv")) for name in names}
+    summary = _check_output(os.path.join(args.out_dir, "summary.txt"))
     runs = [(name, *_run_solver(datum, name, args, "full")) for name in names]
     solvers_obj = {}
     lines = [f"{'solver':<8} {'iters':>7} {'to_tol':>7} {'status':<22} {'F_final':>24} {'bl_constant':>24}"]
     worst = 0
     for name, result, trace, _, wall in runs:
-        trace.write_csv(os.path.join(args.out_dir, f"{name}.csv"))
+        trace.write_csv(csvs[name])
         to_tol = result.iterations if result.residual <= args.tol else None
         solvers_obj[name] = {
             "iterations": result.iterations,
@@ -227,7 +226,7 @@ def cmd_bench(args) -> int:
             f"{result.F_value!r:>24} {result.bl_constant!r:>24}"
         )
         worst = max(worst, _STATUS_EXIT[result.status])
-    atomic_write_text(os.path.join(args.out_dir, "summary.txt"), "\n".join(lines) + "\n")
+    atomic_write_text(summary, "\n".join(lines) + "\n")
     _print_json(
         {
             "schema": SCHEMA,

@@ -278,11 +278,13 @@ class TestSolve:
         lines = open(trace).read().strip().split("\n")
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
 
-    @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "taken/sub/t.csv", "directory"])
+    @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "taken/sub/t.csv", "directory", "loop/t.csv",
+                                       pytest.param("x" * 300, id="300-char-name")])
     def test_unwritable_trace_exits_1_before_the_solver(self, capsys, monkeypatch, tmp_path, young_path, trace):
         # the error line is the one the trace's write raises, and nothing is written
         (tmp_path / "taken").write_text("kept\n")
         (tmp_path / "directory").mkdir()
+        (tmp_path / "loop").symlink_to("loop")
         trace, before = str(tmp_path / trace), sorted(tmp_path.rglob("*"))
         with pytest.raises(OSError) as write:
             atomic_write_text(trace, "")
@@ -291,6 +293,22 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and captured.err == f"blfix: io error: {write.value}\n"
         assert trace in captured.err and sorted(tmp_path.rglob("*")) == before
+
+    def test_trace_over_a_link_to_a_directory_replaces_the_link(self, capsys, tmp_path, young_path):
+        # the write's final rename does not follow the last link, so the check must not either
+        (tmp_path / "directory").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to("directory")
+        assert run_cli(capsys, "solve", young_path, "--solver", "g", "--trace", str(link))[0] == 0
+        assert not link.is_symlink() and link.read_text().startswith("iter,")
+        assert list((tmp_path / "directory").iterdir()) == []
+
+    def test_datum_hash_is_taken_before_the_trace_replaces_the_datum(self, capsys, young_path):
+        with open(young_path, "rb") as fh:
+            before = hashlib.sha256(fh.read()).hexdigest()
+        code, out = run_cli(capsys, "solve", young_path, "--solver", "g", "--trace", young_path)
+        assert code == 0 and json.loads(out)["datum"] == {"path": young_path, "sha256": before}
+        assert open(young_path).read().startswith("iter,")
 
     @pytest.mark.parametrize("solver", ["g", "gmu", "gtilde", "rgd"])
     @pytest.mark.parametrize("shape", [None, (6, 4, 5)], ids=["young", "random"])
@@ -558,6 +576,19 @@ class TestBench:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("blfix: io error:") and taken.read_text() == "kept\n"
+
+    def test_bench_unwritable_output_exits_1_before_any_solver(self, capsys, monkeypatch, tmp_path, young_path):
+        # the error line is the one the write raises, and nothing is written
+        out_dir = tmp_path / "out" / "bench"
+        (out_dir / "g.csv").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(OSError) as write:
+            atomic_write_text(str(out_dir / "g.csv"), "")
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        code = main(["bench", "--datum", young_path, "--solvers", "g,gmu,gtilde,rgd", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == f"blfix: io error: {write.value}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestUsage:
