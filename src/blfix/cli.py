@@ -37,7 +37,7 @@ from .datum import (
     save_datum,
     validate,
 )
-from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed, atomic_write_text
+from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed, _file_path, atomic_write_text
 from .matcore import load_matrix, matrix_to_json_obj
 from .solve import (
     CONVERGED,
@@ -94,7 +94,7 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
 def _check_output(path: str) -> str:
     """Return path, or raise now the io error naming it that its write would raise after the solvers."""
     try:  # the OS resolves path as the write's final rename will: through every link but the last
-        if stat.S_ISDIR(os.lstat(path).st_mode):
+        if stat.S_ISDIR(os.lstat(_file_path(path)).st_mode):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     except FileNotFoundError:  # fine only for a new file in an existing directory
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -3,6 +3,7 @@ InvalidArgument, the JSON reader that raises ParseError, and the atomic writer
 that never leaves a partial file."""
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -33,7 +34,7 @@ class ParseError(BlfixError):
 
 
 class TooLarge(BlfixError):
-    """A brute-force guard tripped; the instance is beyond desk scale."""
+    """critical_c's minors would pass its bound on their entries; it formed none."""
 
 
 class InvalidShape(BlfixError):
@@ -64,14 +65,22 @@ def check_nonnegative(name: str, value: float) -> None:
         raise InvalidArgument(f"{name} must be finite and nonnegative")
 
 
+def _file_path(path: str) -> str:
+    """Return path, or raise ENOTDIR naming it where its last component, "", "." or "..", names no file."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    return path
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory plus rename.
 
-    A failure mid-write never leaves a partial file at the destination. An
-    OSError that names a file is raised again naming path, not the temp file.
+    A path that names no file fails before its temp file exists. A failure
+    mid-write never leaves a partial file at the destination. An OSError that
+    names a file is raised again naming path, not the temp file.
     The temp file is created with mode 0666 less the umask, as open() would.
     """
-    directory, tmp = os.path.dirname(os.path.abspath(path)), ""
+    directory, tmp = os.path.dirname(os.path.abspath(_file_path(path))), ""
     try:
         while not tmp:  # a fresh random name; O_EXCL never takes over an existing file
             name = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")

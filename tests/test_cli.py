@@ -279,13 +279,15 @@ class TestSolve:
         assert lines[0].startswith("iter,F,F_mu,grad_norm,thompson_step")
 
     @pytest.mark.parametrize("trace", ["missing/t.csv", "taken/t.csv", "taken/sub/t.csv", "directory", "loop/t.csv",
-                                       pytest.param("x" * 300, id="300-char-name")])
+                                       pytest.param("x" * 300, id="300-char-name"),
+                                       "new/", "directory/", ".", "..", "directory/..", "./"])
     def test_unwritable_trace_exits_1_before_the_solver(self, capsys, monkeypatch, tmp_path, young_path, trace):
-        # the error line is the one the trace's write raises, and nothing is written
+        # the error line is the one the trace's write raises, and nothing is written; os.path.join
+        # keeps the trailing separator and the "." that pathlib would drop
         (tmp_path / "taken").write_text("kept\n")
         (tmp_path / "directory").mkdir()
         (tmp_path / "loop").symlink_to("loop")
-        trace, before = str(tmp_path / trace), sorted(tmp_path.rglob("*"))
+        trace, before = os.path.join(str(tmp_path), trace), sorted(tmp_path.rglob("*"))
         with pytest.raises(OSError) as write:
             atomic_write_text(trace, "")
         monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
@@ -413,6 +415,13 @@ class TestCheck:
 
         monkeypatch.setattr("blfix.cli.critical_c", too_large)
         code, out = run_cli(capsys, "check", young_path)
+        assert code == 0 and json.loads(out)["critical_c"] is None
+
+    def test_critical_c_beyond_its_bound_prints_null(self, capsys, tmp_path):
+        # comb(20, 10) = 184756 index sets, but 5.5e7 minor entries: beyond critical_c's bound
+        path = str(tmp_path / "random.json")
+        save_datum(gen_random(20, 10, 3, 0), path)
+        code, out = run_cli(capsys, "check", path)
         assert code == 0 and json.loads(out)["critical_c"] is None
 
     def test_huge_weights_report_without_warnings(self, capsys, tmp_path):

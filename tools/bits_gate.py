@@ -52,8 +52,14 @@ The battery, from the identity start:
   the first half of the coordinates. The turned and the random coordinates
   let the digest see whether the screen depends on the coordinates;
 - `check` on a feasible datum with a near-dependent column pair
-  (near_dependent_datum: column 1 of map 0 within 1e-12 of column 0), and on
-  small_margin_datum, an infeasible datum whose witness the search misses.
+  (near_dependent_datum: column 1 of map 0 within 1e-12 of column 0), on
+  small_margin_datum, an infeasible datum whose witness the search misses,
+  and on gen_random(20, 10, 3, seed=0), whose 5.5e7 minor entries pass
+  critical_c's bound, so it prints `critical_c: null`;
+- `solve` on Young with `g` and `--trace new/` (no such directory) and
+  `--trace d/` (an existing directory): paths that name no file, refused
+  before the solver runs; a write there would put its temp file in the
+  battery's own directory.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -241,6 +247,7 @@ def cli_battery() -> dict:
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1.5e308, 1e-300])), "x0-extreme.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([1.79e308, 1.79e308])), "x0-huge.json")
             blfix.save_matrix(blfix.SpdMatrix(np.diag([4e-308, 1e-320])), "x0-subnormal.json")
+            os.makedirs("d")
             commands = [["metric", which, "x.json", "y.json"] for which in ("thompson", "hilbert")]
             commands += [["solve", "young.json", "--solver", solver, "--x0", "x0.json"]
                          for solver in ("g", "gmu", "gtilde")]
@@ -268,10 +275,12 @@ def cli_battery() -> dict:
                                                                np.random.default_rng(0)),
                        "block17.json": block_datum(17, 2, 9, seed=0),
                        "near-dependent.json": near_dependent_datum(),
-                       "blind.json": small_margin_datum()}
+                       "blind.json": small_margin_datum(),
+                       "random20.json": blfix.gen_random(20, 10, 3, seed=0)}
             for name, datum in checked.items():
                 blfix.save_datum(datum, name)
                 commands.append(["check", name])
+            commands += [["solve", "young.json", "--solver", "g", "--trace", trace] for trace in ("new/", "d/")]
             for argv in commands:
                 out[" ".join(argv)] = cli_digest(argv)
         finally:
