@@ -14,12 +14,9 @@ wall-time and time_ns fields.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
-import hashlib
 import json
 import os
-import stat
 import sys
 import time
 from dataclasses import asdict
@@ -29,15 +26,15 @@ from .cone import hilbert, thompson
 from .datum import (
     BLDatum,
     critical_c,
+    datum_from_json_obj,
     datum_to_json_obj,
     gen_holder,
     gen_random,
     gen_young,
-    load_datum,
     save_datum,
     validate,
 )
-from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed, _file_path, atomic_write_text
+from .errors import BlfixError, InvalidArgument, TooLarge, ValidationFailed, _file_path, atomic_write_text, read_json
 from .matcore import load_matrix, matrix_to_json_obj
 from .solve import (
     CONVERGED,
@@ -62,9 +59,8 @@ def _print_json(obj) -> None:
 
 
 def _load_datum(path: str) -> tuple[BLDatum, dict]:
-    with open(path, "rb") as fh:  # hashed as read, before any output can replace the file
-        echo = {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-    return load_datum(path), echo
+    datum, sha256 = read_json(path, datum_from_json_obj)  # before any output can replace the file
+    return datum, {"path": path, "sha256": sha256}
 
 
 def _given(**flags) -> dict:
@@ -91,27 +87,16 @@ def _run_solver(datum: BLDatum, name: str, args, level: str) -> tuple[SolveResul
     return result, trace, echo, time.perf_counter() - t0
 
 
-def _check_output(path: str) -> str:
-    """Return path, or raise now the io error naming it that its write would raise after the solvers."""
-    try:  # the OS resolves path as the write's final rename will: through every link but the last
-        if stat.S_ISDIR(os.lstat(_file_path(path)).st_mode):
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    except FileNotFoundError:  # fine only for a new file in an existing directory
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise
-    return path
-
-
 def cmd_solve(args) -> int:
     given = {"--x0": args.x0 != "identity", "--eps": args.eps is not None, "--mu": args.mu is not None}
     for flag in _IGNORED_FLAGS.get(args.solver, ()):
         if given[flag]:
             raise InvalidArgument(f"{flag} does not apply to --solver {args.solver}")
     datum, datum_echo = _load_datum(args.datum)
-    if args.trace:
-        _check_output(args.trace)
-    result, trace, echo, wall = _run_solver(datum, args.solver, args, "full" if args.trace else "summary")
-    if args.trace:
+    if args.trace is not None:
+        _file_path(args.trace)
+    result, trace, echo, wall = _run_solver(datum, args.solver, args, "summary" if args.trace is None else "full")
+    if args.trace is not None:
         trace.write_csv(args.trace)
     _print_json(
         {
@@ -169,7 +154,7 @@ def cmd_gen(args) -> int:
         datum = gen_young()
     else:
         datum = gen_random(args.d, args.dprime, args.m, args.seed)
-    if args.out:
+    if args.out is not None:
         save_datum(datum, args.out)
     else:
         _print_json(datum_to_json_obj(datum))
@@ -204,8 +189,8 @@ def cmd_bench(args) -> int:
         raise InvalidArgument(f"--mu does not apply to --solvers {','.join(names)}")
 
     os.makedirs(args.out_dir, exist_ok=True)  # before the solvers: a bad output fails at once
-    csvs = {name: _check_output(os.path.join(args.out_dir, f"{name}.csv")) for name in names}
-    summary = _check_output(os.path.join(args.out_dir, "summary.txt"))
+    csvs = {name: _file_path(os.path.join(args.out_dir, f"{name}.csv")) for name in names}
+    summary = _file_path(os.path.join(args.out_dir, "summary.txt"))
     runs = [(name, *_run_solver(datum, name, args, "full")) for name in names]
     solvers_obj = {}
     lines = [f"{'solver':<8} {'iters':>7} {'to_tol':>7} {'status':<22} {'F_final':>24} {'bl_constant':>24}"]

@@ -206,4 +206,4 @@ def save_datum(datum: BLDatum, path: str) -> None:
 
 
 def load_datum(path: str) -> BLDatum:
-    return read_json(path, datum_from_json_obj)
+    return read_json(path, datum_from_json_obj)[0]

@@ -1,12 +1,16 @@
 """How blfix fails: the exception types, the argument checks that raise
-InvalidArgument, the JSON reader that raises ParseError, and the atomic writer
-that never leaves a partial file."""
+InvalidArgument, and the one owner of each side of file I/O: read_json reads
+every input once and raises ParseError, and _file_path judges every output
+path, in the atomic writer before its temp file exists."""
 
 import contextlib
 import errno
+import hashlib
+import io
 import json
 import math
 import os
+import stat
 
 
 class BlfixError(Exception):
@@ -66,16 +70,24 @@ def check_nonnegative(name: str, value: float) -> None:
 
 
 def _file_path(path: str) -> str:
-    """Return path, or raise ENOTDIR naming it where its last component, "", "." or "..", names no file."""
+    """Return path, or raise now, naming it, the OSError writing a file there would: ENOTDIR where its
+    last component is "", "." or "..", EISDIR for a directory, and the error of a missing file only where
+    its directory is missing too. Like the write's final rename, it follows every link but the last."""
     if os.path.basename(path) in ("", ".", ".."):
         raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    try:
+        if stat.S_ISDIR(os.lstat(path).st_mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise
     return path
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory plus rename.
 
-    A path that names no file fails before its temp file exists. A failure
+    A path that _file_path refuses fails before its temp file exists. A failure
     mid-write never leaves a partial file at the destination. An OSError that
     names a file is raised again naming path, not the temp file.
     The temp file is created with mode 0666 less the umask, as open() would.
@@ -102,7 +114,8 @@ def _reject_constant(token: str):
 
 
 def read_json(path: str, convert):
-    """Read the JSON file at path and return convert(obj) of its content.
+    """Read the JSON file at path once, so a pipe works; return convert(obj) of its content and the
+    SHA-256 of the bytes parsed, decoded as text-mode open() would, newlines translated.
 
     Malformed input raises ParseError naming the file: text that is not
     UTF-8, bad or too deeply nested JSON, NaN or Infinity, a boolean anywhere
@@ -110,9 +123,10 @@ def read_json(path: str, convert):
     convert cannot use (a ValueError, TypeError or OverflowError inside it,
     such as a non-numeric entry, a ragged row or an integer beyond the doubles).
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            obj = json.loads(fh.read(), parse_constant=_reject_constant)
+        obj = json.loads(io.TextIOWrapper(io.BytesIO(data)).read(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, or a NaN or Infinity
@@ -127,6 +141,6 @@ def read_json(path: str, convert):
         elif isinstance(item, dict):
             todo.extend(item.values())
     try:
-        return convert(obj)
+        return convert(obj), hashlib.sha256(data).hexdigest()
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -204,4 +204,4 @@ def save_matrix(x, path: str) -> None:
 
 
 def load_matrix(path: str) -> SpdMatrix:
-    return read_json(path, matrix_from_json_obj)
+    return read_json(path, matrix_from_json_obj)[0]

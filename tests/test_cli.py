@@ -106,6 +106,14 @@ def assert_error_exit(capsys, *argv) -> str:
     return captured.err
 
 
+def run_child(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m blfix.cli argv` in a child that imports the blfix this suite imported, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blfix.cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "blfix.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
 def _strip_volatile(summary: dict) -> dict:
     out = dict(summary)
     out.pop("wall_time_s", None)
@@ -704,14 +712,43 @@ class TestUsage:
         assert err == f"blfix: error: {flag} does not apply to --solver {solver}\n"
 
     def test_console_script_runs(self, young_path):
-        # the child imports the blfix this suite imported, installed or not
-        src = os.path.dirname(os.path.dirname(os.path.abspath(blfix.cli.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "blfix.cli", "solve", young_path, "--solver", "g"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("solve", young_path, "--solver", "g", text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["status"] == "Converged"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "/dev/stdin", "--solver", "g"],
+        ["check", "/dev/stdin"],
+        ["bench", "--datum", "/dev/stdin", "--solvers", "g", "--out-dir", "{tmp}"],
+    ], ids=["solve", "check", "bench"])
+    def test_datum_read_from_a_pipe(self, tmp_path, young_path, argv):
+        # a pipe can be read only once: the datum is parsed from the bytes that are hashed
+        with open(young_path, "rb") as fh:
+            data = fh.read()
+        proc = run_child(*(a.format(tmp=tmp_path) for a in argv), input=data)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert json.loads(proc.stdout)["datum"] == {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["gen", "young", "--out", ""], "[Errno 20] Not a directory: ''"),
+        (["solve", "{young}", "--solver", "g", "--trace", ""], "[Errno 20] Not a directory: ''"),
+        (["bench", "--datum", "{young}", "--solvers", "g", "--out-dir", ""],
+         "[Errno 2] No such file or directory: ''"),
+    ], ids=["gen-out", "solve-trace", "bench-out-dir"])
+    def test_empty_output_path_exits_1_before_the_solver(self, capsys, monkeypatch, tmp_path, young_path, argv, error):
+        # "" names no file, as "." and "d/" do; it does not mean "no output"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("blfix.cli._run_solver", lambda *a: pytest.fail("a solver ran"))
+        before = sorted(tmp_path.rglob("*"))
+        code = main([a.format(young=young_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == f"blfix: io error: {error}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_parse_error_counts_every_line_end(self, capsys, tmp_path, eol):
+        # read as text-mode open() reads: a lone CR ends a line too
+        path = tmp_path / "bad.json"
+        path.write_bytes(eol.join([b"{", b'  "d": 2,', b'  "dprime": 1,', b'  "maps": [', b"    oops", b"  ]", b"}", b""]))
+        err = assert_error_exit(capsys, "solve", str(path), "--solver", "g")
+        assert err == f"blfix: error: {path}: line 5 column 5: Expecting value\n"

@@ -365,6 +365,14 @@ class TestPersistence:
             save_datum(gen_young(), str(tmp_path / "young.json"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_over_a_directory_fails_before_a_temp_file(self, monkeypatch, tmp_path):
+        directory = tmp_path / "directory"
+        directory.mkdir()
+        monkeypatch.setattr(blfix.errors.os, "open", lambda *a: pytest.fail("a temp file was opened"))
+        with pytest.raises(IsADirectoryError) as exc:
+            save_datum(gen_young(), str(directory))
+        assert exc.value.filename == str(directory) and list(tmp_path.iterdir()) == [directory]
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
         # as for open(path, "w"): 0666 less the umask, not a temp file's 0600

@@ -59,7 +59,10 @@ The battery, from the identity start:
 - `solve` on Young with `g` and `--trace new/` (no such directory) and
   `--trace d/` (an existing directory): paths that name no file, refused
   before the solver runs; a write there would put its temp file in the
-  battery's own directory.
+  battery's own directory;
+- the empty path as every output: `gen young --out ""`, `solve young.json
+  --solver g --trace ""` and `bench --datum young.json --solvers g --out-dir
+  ""`, each refused before anything is written.
 
 A solver run is digested as every SolveResult field, the sha256 of the X_star
 bytes (matrix and Cholesky factor), the row count and the sha256 of every trace
@@ -281,6 +284,8 @@ def cli_battery() -> dict:
                 blfix.save_datum(datum, name)
                 commands.append(["check", name])
             commands += [["solve", "young.json", "--solver", "g", "--trace", trace] for trace in ("new/", "d/")]
+            commands += [["gen", "young", "--out", ""], ["solve", "young.json", "--solver", "g", "--trace", ""],
+                         ["bench", "--datum", "young.json", "--solvers", "g", "--out-dir", ""]]
             for argv in commands:
                 out[" ".join(argv)] = cli_digest(argv)
         finally:
