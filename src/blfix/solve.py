@@ -116,18 +116,18 @@ class TraceRow(NamedTuple):
 class IterTrace:
     """Per-iteration log; row 0 is the start point (its thompson_step is nan).
 
-    `grad_norm` is the operator norm of the gradient of the objective actually
-    iterated (regularized when mu > 0). `mu_events` records (iteration, mu)
-    whenever the regularization parameter is set or re-derived. `residual`
-    names the column the solver stops on, which its result reports as the
-    residual: "thompson_step" for the fixed-point maps, "grad_norm" for RGD.
+    `grad_norm` is the operator norm of the gradient of the objective iterated
+    (regularized when mu > 0), or for RGD |S - I|_F, the Riemannian norm it
+    stops on. `mu_events` records (iteration, mu) whenever mu is set or
+    re-derived. `residual` names the column that the result reports as its
+    residual and stops on: "thompson_step" for the maps, "grad_norm" for RGD.
 
     The config's `trace` level: "full" fills every cell. "summary" leaves nan
     in min_eig and max_eig except on the rows whose spectrum the run computed
     (row 0, and where a stop or mu decision needed it), and in the fixed-point
     maps' grad_norm, whose thompson_step is exact on the last row and where the
     check read it, elsewhere an upper bound (_Whitened.step_bounds). The checks
-    never see the level, so both levels end alike.
+    never see the level, so both levels decide on the same rows and end alike.
     """
 
     HEADER = TraceRow._fields  # the CSV columns
@@ -393,14 +393,14 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
 
     The gate raises ValidationFailed, naming every hard check, unless the datum
     passes them all. `step(x)` moves x to the next iterate, not yet evaluated,
-    which carries the length of the step that reached it: a row records it
-    exactly where the row is "full" or last, else the top of its bracket,
-    which is exact where the check read step_len. `check(k, x)` decides
-    on the evaluated iterate k, blind to the trace `level`, and returns the
-    row's mu, its own grad_norm and X's (lo, hi), None where not computed, and
-    a stop status, or None to go on; after max_iter steps the run ends as
-    MaxIter. The loop fills X's spectrum on row 0 and every "full" row, a
-    "full" row's grad_norm (plus mu I; inf past the doubles) and each F_mu.
+    which carries the length of the step that reached it. `check(k, x)` decides
+    on the evaluated iterate k before the loop reads it, so the same way at both
+    levels, and returns the row's mu, its own grad_norm and X's (lo, hi), None
+    where not computed, and a stop status, or None to go on; after max_iter
+    steps the run ends as MaxIter. The row then records the step's exact length
+    where it is "full" or last, else the top of its bracket, exact where the
+    check read step_len. The loop fills X's spectrum on row 0 and every "full"
+    row, a "full" row's grad_norm (plus mu I; inf past the doubles) and each F_mu.
     The one evaluation of an iterate feeds its check, its row, the step from it
     and, for the last iterate, the result, whose residual is the row's
     `trace.residual` column. After the gate numpy raises on overflow and on
@@ -424,10 +424,8 @@ def _drive(datum: BLDatum, x0: SpdMatrix, trace: IterTrace, step, check,
                 if k:
                     x = step(x)
                 x.evaluate()
-                length = x.step_len if full else None  # cached before the check, which then brackets nothing
                 mu, norm, spectrum, status = check(k, x)
-                if length is None:  # exact on the last row, the result's residual
-                    length = x.step_len if status is not None or k == max_iter else x.step_bounds()[1]
+                length = x.step_len if full or status is not None or k == max_iter else x.step_bounds()[1]
                 lo, hi = spectrum or (x.spectrum() if full or not k else (math.nan, math.nan))
                 if norm is None and full:
                     try:  # past the doubles it reads inf: only the result's gradient ends a run
